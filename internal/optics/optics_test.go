@@ -70,6 +70,25 @@ func TestDegenerateGeometry(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsNonFinite pins that NaN and infinite distances or
+// angles are errors rather than a silent NaN received power.
+func TestValidateRejectsNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, g := range []Geometry{
+		{DistanceM: nan},
+		{DistanceM: inf},
+		{DistanceM: -inf},
+		{DistanceM: 1, IrradianceDeg: nan},
+		{DistanceM: 1, IncidenceDeg: nan},
+		{DistanceM: 1, IrradianceDeg: inf},
+		{DistanceM: 1, IncidenceDeg: -inf},
+	} {
+		if err := g.Validate(); err == nil {
+			t.Errorf("Validate accepted %+v", g)
+		}
+	}
+}
+
 func TestLambertianOrderRoundTrip(t *testing.T) {
 	f := func(raw uint8) bool {
 		hp := 5 + float64(raw)/255*60 // 5..65 degrees

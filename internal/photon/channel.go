@@ -103,12 +103,16 @@ func DefaultLinkBudget() LinkBudget {
 }
 
 // ChannelAt builds the detection channel for a geometry and ambient level.
+// It rejects an invalid geometry (see optics.Geometry.Validate) and an
+// ambient level that is negative, NaN or infinite.
 func (b LinkBudget) ChannelAt(g optics.Geometry, ambientLux float64) (Channel, error) {
 	if err := g.Validate(); err != nil {
 		return Channel{}, err
 	}
-	if ambientLux < 0 {
-		return Channel{}, fmt.Errorf("photon: negative ambient %v lux", ambientLux)
+	// The negated comparison also rejects NaN, which would otherwise flow
+	// into every Poisson mean of the channel.
+	if !(ambientLux >= 0) || math.IsInf(ambientLux, 1) {
+		return Channel{}, fmt.Errorf("photon: ambient %v lux must be finite and non-negative", ambientLux)
 	}
 	pr := optics.ReceivedPower(b.Emitter, b.Receiver, g)
 	return Channel{

@@ -183,6 +183,17 @@ func TestChannelAtValidation(t *testing.T) {
 	if _, err := b.ChannelAt(optics.Aligned(1, 0), -5); err == nil {
 		t.Fatal("negative lux accepted")
 	}
+	for _, lux := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := b.ChannelAt(optics.Aligned(1, 0), lux); err == nil {
+			t.Errorf("lux %v accepted", lux)
+		}
+	}
+	if _, err := b.ChannelAt(optics.Aligned(math.NaN(), 0), 100); err == nil {
+		t.Error("NaN distance accepted")
+	}
+	if _, err := b.ChannelAt(optics.Aligned(1, math.NaN()), 100); err == nil {
+		t.Error("NaN angle accepted")
+	}
 }
 
 func TestMeanForTransitions(t *testing.T) {

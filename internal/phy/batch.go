@@ -1,56 +1,13 @@
-// Columnar batch scratch of the PHY hot loop (DESIGN.md §12).
+// Columnar batch scratch of the PHY receiver (DESIGN.md §12).
 //
-// Transmit and Process used to walk their streams one sample at a time,
-// deciding, sampling, quantizing and summing inside a single scalar loop.
-// The batched pipeline splits each direction into column passes over
-// reusable scratch:
-//
-//   - Transmit phase 1 classifies every sample window (settled-on,
-//     settled-off, or exact) into run-length-encoded spans and a lambda
-//     column, without touching the rng.
-//   - Transmit phase 2 fills the sample column run by run — one
-//     Sampler.SampleN block fill per settled run — then quantizes the
-//     whole column at once.
-//   - Process derives a prefix-sum column and the three-sample window
-//     column from it, then decodes frames into per-receiver reusable
-//     payload buffers.
-//
-// All columns live in pooled or receiver-owned scratch so the steady
-// state allocates nothing.
+// Process derives a prefix-sum column and the three-sample window column
+// from it, then decodes frames into per-receiver reusable payload
+// buffers. The columns live in receiver-owned scratch so the steady state
+// allocates nothing. Transmit keeps no columns: it draws straight into
+// the pooled output buffer (see Link.Transmit).
 package phy
 
 import "smartvlc/internal/frame"
-
-// Window classes of the transmit classification pass.
-const (
-	txSettledOff = int8(iota) // LED settled on the 0 rail
-	txSettledOn               // LED settled on the 1 rail
-	txExact                   // window touches a transition: per-segment slew integration
-)
-
-// txRun is one run of consecutive same-class sample windows.
-type txRun struct {
-	n     int32
-	class int8
-}
-
-// txPlan is the output of the transmit classification pass: the window
-// classes as run-length-encoded spans, plus the Poisson mean of every
-// exact window in stream order. Pooled via acquireTxPlan/releaseTxPlan.
-type txPlan struct {
-	runs    []txRun
-	lambdas []float64
-}
-
-// push appends one window of the given class, merging into the previous
-// run when the class repeats.
-func (p *txPlan) push(class int8) {
-	if n := len(p.runs); n > 0 && p.runs[n-1].class == class {
-		p.runs[n-1].n++
-		return
-	}
-	p.runs = append(p.runs, txRun{n: 1, class: class})
-}
 
 // Batch is the receiver-owned columnar scratch of Process: the sample
 // prefix-sum column, the three-sample window column derived from it, the

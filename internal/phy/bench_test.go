@@ -1,6 +1,7 @@
 package phy
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"testing"
 
@@ -70,6 +71,27 @@ func BenchmarkPHYTransmit(b *testing.B) {
 		link.StartPhase = rng.Float64()
 		out := link.Transmit(rng, slots)
 		RecycleSamples(out)
+	}
+}
+
+// BenchmarkTransmitPCG measures the sessions' transmit entry point per
+// frame at three dimming levels: one 128-byte frame plus 24 idle slots at
+// the 3 m / 8000 lux office point. The level sets the transition density,
+// and with it the share of windows that take the exact slew integration.
+func BenchmarkTransmitPCG(b *testing.B) {
+	for _, level := range []float64{0.1, 0.5, 0.9} {
+		b.Run(fmt.Sprintf("level=%g", level), func(b *testing.B) {
+			link, _, _ := benchLink(b)
+			link.StartPhase = 0.41
+			slots := benchSlots(b, level, 1, 24)[24:] // frame, then the idle gap
+			pcg := rand.NewPCG(1, 2)
+			b.SetBytes(int64(len(slots)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				RecycleSamples(link.TransmitPCG(pcg, slots))
+			}
+		})
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"smartvlc/internal/optics"
 	"smartvlc/internal/photon"
 	"smartvlc/internal/scheme"
+	"smartvlc/internal/telemetry"
 )
 
 // eqOperatingPoint is a robust short link (high SNR) so decode outcomes
@@ -147,34 +148,59 @@ func TestTransmitDecodeMatchesReference(t *testing.T) {
 	}
 }
 
-// TestSettledWindow pins the fast-path gate itself: it must fire exactly
-// when the LED sits on a rail and every slot the window touches holds that
-// rail's value, including the hold-state past the end of the waveform.
+// TestSettledWindow pins the settled-run gate of the transmit walk
+// through its window counts: a window may skip the slew integration only
+// when the LED sits on a rail and every slot it touches holds that rail's
+// value, including the hold-state past the end of the waveform. Each case
+// counts the exact windows one Transmit takes; the rest must be settled.
 func TestSettledWindow(t *testing.T) {
-	const tslot = 8e-6
-	const winEnd = 3 * tslot // window spanning slots 0..2 from t=0
-
+	office := DefaultLink(channelAt(t, 3, 8000))
+	office.StartPhase = 0.41
+	// Drift-free clocks at phase 0 put slot edges exactly on window
+	// edges (4 windows per slot), so an edge window starts on the old
+	// rail with the new slot value already active.
+	aligned := office
+	aligned.TxClock.OffsetPPM, aligned.RxClock.OffsetPPM = 0, 0
+	aligned.StartPhase = 0
+	aligned.LED.FallSeconds = 1e-6 // half a window: the fall ends inside the edge window
+	slow := aligned
+	slow.LED.RiseSeconds = 7e-6 // three and a half windows of slew
+	run := func(v bool, n int) []bool {
+		out := make([]bool, n)
+		for i := range out {
+			out[i] = v
+		}
+		return out
+	}
 	cases := []struct {
-		name       string
-		slots      []bool
-		slotIdx    int
-		slotEnd    float64
-		intensity  float64
-		wantOn     bool
-		wantSettle bool
+		name      string
+		link      Link
+		slots     []bool
+		wantExact int64
 	}{
-		{"all-on", []bool{true, true, true, true}, 0, tslot, 1, true, true},
-		{"all-off", []bool{false, false, false, false}, 0, tslot, 0, false, true},
-		{"mid-slew", []bool{true, true, true, true}, 0, tslot, 0.4, false, false},
-		{"transition", []bool{true, true, false, true}, 0, tslot, 1, true, false},
-		{"wrong-rail", []bool{false, false, false}, 0, tslot, 1, true, false},
-		{"hold-past-end", []bool{true, true}, 0, tslot, 1, true, true},
-		{"empty-stream", nil, 0, tslot, 0, false, true},
+		{"all-on", office, run(true, 50), 0},
+		{"all-off", office, run(false, 50), 0},
+		// The 0→1 edge starts a four-window ramp: the edge window and three
+		// mid-slew windows whose slots agree but whose LED is off-rail.
+		{"mid-slew", slow, append(run(false, 8), run(true, 8)...), 4},
+		// Unaligned, each of the three edges takes the window straddling it
+		// and the next one, where the 2 µs fall completes.
+		{"transition", office, append(append(run(true, 6), run(false, 6)...), append(run(true, 6), run(false, 6)...)...), 6},
+		// Aligned, the edge window opens on the 1 rail while its slot is
+		// already 0, and the fall completes within it.
+		{"wrong-rail", aligned, append(run(true, 8), run(false, 8)...), 1},
+		{"hold-past-end", office, []bool{true, true}, 0},
+		{"empty-stream", office, nil, 0},
 	}
 	for _, c := range cases {
-		on, settled := settledWindow(c.slots, c.slotIdx, c.slotEnd, winEnd, tslot, c.intensity)
-		if settled != c.wantSettle || (settled && on != c.wantOn) {
-			t.Errorf("%s: settledWindow = (%v, %v), want (%v, %v)", c.name, on, settled, c.wantOn, c.wantSettle)
+		l := c.link
+		l.Metrics = NewTxMetrics(telemetry.New())
+		samples := l.Transmit(rand.New(rand.NewPCG(1, 2)), c.slots)
+		settled, exact := l.Metrics.SettledWindows.Value(), l.Metrics.ExactWindows.Value()
+		if exact != c.wantExact || settled+exact != int64(len(samples)) {
+			t.Errorf("%s: %d exact + %d settled windows over %d samples, want %d exact",
+				c.name, exact, settled, len(samples), c.wantExact)
 		}
+		RecycleSamples(samples)
 	}
 }

@@ -125,7 +125,7 @@ func TestTransmitSteadyStateZeroAllocs(t *testing.T) {
 	pcg := rand.NewPCG(3, 4)
 
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	// Warm the sampler cache, plan pool and sample buffers.
+	// Warm the sampler cache and sample buffers.
 	link.StartPhase = 0.25
 	RecycleSamples(link.Transmit(rng, slots))
 	RecycleSamples(link.TransmitPCG(pcg, slots))

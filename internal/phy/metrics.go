@@ -38,9 +38,9 @@ func NewTxMetrics(r *telemetry.Registry) *TxMetrics {
 	}
 }
 
-// onWindows records one Transmit's window classification totals in a
-// single pair of atomic adds — the batched pipeline counts per run, not
-// per window.
+// onWindows records one Transmit's settled/exact window totals in a
+// single pair of atomic adds — the transmit walk counts its exact windows
+// locally and reports once per call, not per window.
 func (m *TxMetrics) onWindows(settled, exact int) {
 	if m != nil {
 		m.SettledWindows.Add(int64(settled))

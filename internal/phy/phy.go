@@ -80,101 +80,67 @@ func DefaultLink(ch photon.Channel) Link {
 // one entry per RX sample covering the waveform's duration; pass it to
 // RecycleSamples when done to avoid reallocating it for the next frame.
 //
-// Transmit runs as a batched columnar pipeline (DESIGN.md §12). Phase 1
-// classifies every sample window without touching the rng: windows fully
-// inside a run of equal-valued slots with the LED settled on its rail are
-// settled (their Poisson mean is a constant of the link), windows that
-// touch a value transition take the exact per-segment slew integration,
-// which yields their mean deterministically. The classes come out as
-// run-length-encoded spans plus a lambda column in pooled scratch.
-// Phase 2 fills the sample column run by run — one cached-sampler block
-// fill (Sampler.SampleN) per settled run, one Poisson draw per exact
-// window — and quantizes each run while it is cache-hot. Exact windows
-// draw bit-identically to the scalar reference path; settled runs use
-// the samplers' inverse-CDF block fill, which consumes fewer uniforms
-// per variate, so the stream differs from the reference while the
-// per-window distributions — and therefore every decode — do not
+// Transmit is one walk over the sample windows that draws as it goes
+// (DESIGN.md §12). Where the LED sits on a rail at the start of a run of
+// equal-valued slots, the walk computes the run's end once, counts the
+// windows that fit inside it, and fills them with one cached-sampler
+// block call (Sampler.SampleN): their Poisson mean is a constant of the
+// link. Every other window touches a value transition or a slewing LED;
+// it takes the exact per-segment slew integration and one Poisson draw,
+// in stream order. One ADC pass quantizes the column at the end. Exact
+// windows draw bit-identically to the scalar reference path; settled
+// runs use the samplers' inverse-CDF block fill, which consumes fewer
+// uniforms per variate, so the stream differs from the reference while
+// the per-window distributions — and therefore every decode — do not
 // (reference.go remains the equivalence oracle at decode level).
 func (l Link) Transmit(rng *rand.Rand, slots []bool) []int {
-	plan, nSamples := l.classify(slots)
-	onSampler, offSampler := l.settledSamplers()
-	out := newSampleBuf(nSamples)[:nSamples]
-	idx, li := 0, 0
-	for _, run := range plan.runs {
-		chunk := out[idx : idx+int(run.n)]
-		switch run.class {
-		case txSettledOn:
-			onSampler.SampleN(rng, chunk)
-		case txSettledOff:
-			offSampler.SampleN(rng, chunk)
-		default:
-			for k := range chunk {
-				chunk[k] = photon.Sample(rng, plan.lambdas[li])
-				li++
-			}
-		}
-		// Quantize per run while the chunk is still cache-hot.
-		l.ADC.QuantizeAll(chunk)
-		idx += len(chunk)
-	}
-	l.finishTransmit(plan, nSamples, len(slots))
-	return out
+	return l.transmit(txDraw{rng: rng}, slots)
 }
 
-// TransmitPCG is Transmit drawing from a concrete PCG stream: the fill
-// pass uses the photon package's PCG sampler twins, whose uniforms inline
+// TransmitPCG is Transmit drawing from a concrete PCG stream: the fills
+// use the photon package's PCG sampler twins, whose uniforms inline
 // instead of passing through the rand.Source interface. The output is
 // bit-identical to Transmit over a *rand.Rand wrapping the same
 // generator; callers that own their PCG (the session loops, Deliver)
 // take this entry point.
 func (l Link) TransmitPCG(pcg *rand.PCG, slots []bool) []int {
-	plan, nSamples := l.classify(slots)
-	onSampler, offSampler := l.settledSamplers()
-	out := newSampleBuf(nSamples)[:nSamples]
-	idx, li := 0, 0
-	for _, run := range plan.runs {
-		chunk := out[idx : idx+int(run.n)]
-		switch run.class {
-		case txSettledOn:
-			onSampler.SampleNPCG(pcg, chunk)
-		case txSettledOff:
-			offSampler.SampleNPCG(pcg, chunk)
-		default:
-			for k := range chunk {
-				chunk[k] = photon.SamplePCG(pcg, plan.lambdas[li])
-				li++
-			}
-		}
-		l.ADC.QuantizeAll(chunk)
-		idx += len(chunk)
+	return l.transmit(txDraw{pcg: pcg}, slots)
+}
+
+// txDraw is the generator of one transmit walk; exactly one field is set.
+// Both entry points share the walk and branch once per settled run or
+// exact window, never per sample.
+type txDraw struct {
+	rng *rand.Rand
+	pcg *rand.PCG
+}
+
+func (d txDraw) fill(s *photon.Sampler, dst []int) {
+	if d.pcg != nil {
+		s.SampleNPCG(d.pcg, dst)
+	} else {
+		s.SampleN(d.rng, dst)
 	}
-	l.finishTransmit(plan, nSamples, len(slots))
-	return out
 }
 
-// settledSamplers returns the cached block samplers for the two rail
-// means of this operating point.
-func (l Link) settledSamplers() (on, off *photon.Sampler) {
-	fracWin := l.RxClock.TickSeconds() / l.TxClock.TickSeconds()
-	return photon.SamplerFor(l.Channel.MeanFor(1, fracWin)),
-		photon.SamplerFor(l.Channel.MeanFor(0, fracWin))
+func (d txDraw) draw(lambda float64) int {
+	if d.pcg != nil {
+		return photon.SamplePCG(d.pcg, lambda)
+	}
+	return photon.Sample(d.rng, lambda)
 }
 
-// finishTransmit records the per-Transmit metrics and stage costs and
-// recycles the plan.
-func (l Link) finishTransmit(plan *txPlan, nSamples, nSlots int) {
-	l.Metrics.onWindows(nSamples-len(plan.lambdas), len(plan.lambdas))
-	l.Metrics.onTransmit(nSamples)
-	l.Prof.Ops(1)
-	l.Prof.Samples(int64(nSamples))
-	l.Prof.Slots(int64(nSlots))
-	releaseTxPlan(plan)
+// slotValue is the LED target of slot idx; past the waveform the LED
+// holds the last slot's state, and an empty waveform is dark.
+func slotValue(slots []bool, idx int) bool {
+	if idx >= len(slots) {
+		idx = len(slots) - 1
+	}
+	return idx >= 0 && slots[idx]
 }
 
-// classify is transmit phase 1: it walks the sample windows without
-// touching the rng and returns the run-length-encoded window classes
-// plus the exact-window means (see Transmit's doc comment).
-func (l Link) classify(slots []bool) (*txPlan, int) {
+// transmit is the walk behind Transmit and TransmitPCG.
+func (l Link) transmit(d txDraw, slots []bool) []int {
 	tslot := l.TxClock.TickSeconds()
 	tsamp := l.RxClock.TickSeconds()
 	t0 := l.StartPhase * tsamp // slot grid shift relative to sample grid
@@ -183,8 +149,11 @@ func (l Link) classify(slots []bool) (*txPlan, int) {
 	// holds its final state — otherwise the last slot of the last frame
 	// loses its integration window to sample-count truncation.
 	nSamples := int(math.Ceil(total/tsamp)) + 8
+	fracWin := tsamp / tslot
+	onSampler := photon.SamplerFor(l.Channel.MeanFor(1, fracWin))
+	offSampler := photon.SamplerFor(l.Channel.MeanFor(0, fracWin))
+	out := newSampleBuf(nSamples)[:nSamples]
 
-	plan := acquireTxPlan()
 	intensity := 0.0 // LED optical output at the time cursor
 	if len(slots) > 0 && slots[0] {
 		intensity = 1 // assume the stream starts from a settled state
@@ -196,23 +165,45 @@ func (l Link) classify(slots []bool) (*txPlan, int) {
 	slotIdx := 0
 	slotEnd := t0 + tslot
 	cursor := 0.0
-	for j := 0; j < nSamples; j++ {
-		winEnd := cursor + tsamp
-		// Advance the slot cursor to the slot active at the window start
-		// (the per-segment path below re-checks this and is then a no-op).
+	exact := 0
+	for j := 0; j < nSamples; {
 		for slotEnd <= cursor+1e-15 && slotIdx < len(slots) {
 			slotIdx++
 			slotEnd += tslot
 		}
-		if on, settled := settledWindow(slots, slotIdx, slotEnd, winEnd, tslot, intensity); settled {
-			if on {
-				plan.push(txSettledOn)
-			} else {
-				plan.push(txSettledOff)
+		// Settled run: the LED sits on the rail its current slot asks for.
+		// A window is settled while the run of equal-valued slots ends at
+		// or after the window's end (under the same epsilon bookkeeping as
+		// the per-segment integration); past the waveform the run never
+		// ends. runEnd repeats the slot cursor's slotEnd += tslot
+		// accumulation, so every comparison sees the cursor's own floats.
+		if rail := intensity == 1; (rail || intensity == 0) && slotValue(slots, slotIdx) == rail {
+			runEnd := slotEnd
+			k := slotIdx + 1
+			for ; k < len(slots) && slots[k] == rail; k++ {
+				runEnd += tslot
 			}
-			cursor = winEnd
-			continue
+			if k >= len(slots) {
+				runEnd = math.Inf(1)
+			}
+			from := j
+			for j < nSamples && runEnd >= cursor+tsamp-1e-15 {
+				cursor += tsamp
+				j++
+			}
+			if j > from {
+				if rail {
+					d.fill(onSampler, out[from:j])
+				} else {
+					d.fill(offSampler, out[from:j])
+				}
+				if j == nSamples {
+					break
+				}
+			}
 		}
+		// Exact window: integrate the LED slew segment by segment.
+		winEnd := cursor + tsamp
 		lambda := 0.0
 		t := cursor
 		for t < winEnd-1e-15 {
@@ -229,11 +220,7 @@ func (l Link) classify(slots []bool) (*txPlan, int) {
 			}
 			dt := segEnd - t
 			target := 0.0
-			idx := slotIdx
-			if idx >= len(slots) {
-				idx = len(slots) - 1
-			}
-			if idx >= 0 && slots[idx] {
+			if slotValue(slots, slotIdx) {
 				target = 1
 			}
 			next := l.LED.Step(intensity, target, dt)
@@ -242,40 +229,19 @@ func (l Link) classify(slots []bool) (*txPlan, int) {
 			intensity = next
 			t = segEnd
 		}
-		plan.lambdas = append(plan.lambdas, lambda)
-		plan.push(txExact)
+		out[j] = d.draw(lambda)
+		j++
+		exact++
 		cursor = winEnd
 	}
-	return plan, nSamples
-}
+	l.ADC.QuantizeAll(out)
 
-// settledWindow reports whether the sample window ending at winEnd can
-// take the constant-mean fast path: the LED must sit exactly on a rail
-// (intensity 0 or 1) and every slot the window touches — under the same
-// epsilon bookkeeping as the per-segment integration — must hold that
-// same value. slotIdx/slotEnd identify the slot active at the window
-// start; past the waveform the LED holds the last slot's state.
-func settledWindow(slots []bool, slotIdx int, slotEnd, winEnd, tslot, intensity float64) (on, settled bool) {
-	if intensity != 0 && intensity != 1 {
-		return false, false
-	}
-	on = intensity == 1
-	idx, end := slotIdx, slotEnd
-	for {
-		i := idx
-		if i >= len(slots) {
-			i = len(slots) - 1
-		}
-		v := i >= 0 && slots[i]
-		if v != on {
-			return on, false
-		}
-		if idx >= len(slots) || end >= winEnd-1e-15 {
-			return on, true
-		}
-		idx++
-		end += tslot
-	}
+	l.Metrics.onWindows(nSamples-exact, exact)
+	l.Metrics.onTransmit(nSamples)
+	l.Prof.Ops(1)
+	l.Prof.Samples(int64(nSamples))
+	l.Prof.Slots(int64(len(slots)))
+	return out
 }
 
 // DetectionFraction is the share of each slot the receiver integrates:

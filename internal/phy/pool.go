@@ -11,7 +11,9 @@ import (
 // the RX sample stream a Transmit produces — through sync.Pools. One
 // 0.25 s simulated point moves ~500k samples through the pipeline, and
 // without pooling every frame allocates fresh megabyte-class slices that
-// the GC must then chase.
+// the GC must then chase. The transmit walk needs no scratch besides its
+// output column, so sample buffers are all the transmit side pools;
+// receivers are pooled together with their Batch columns.
 //
 // A sync.Pool stores interface values, and putting a raw []int in one
 // boxes the three-word slice header on every Put — one small heap
@@ -55,22 +57,6 @@ func RecycleSamples(samples []int) {
 	*p = samples[:0]
 	samplePool.Put(p)
 }
-
-// txPlanPool recycles the classification columns of the batched Transmit
-// (see batch.go); pooled as typed pointers for the same no-boxing reason.
-var txPlanPool sync.Pool // *txPlan
-
-func acquireTxPlan() *txPlan {
-	p, _ := txPlanPool.Get().(*txPlan)
-	if p == nil {
-		p = &txPlan{}
-	}
-	p.runs = p.runs[:0]
-	p.lambdas = p.lambdas[:0]
-	return p
-}
-
-func releaseTxPlan(p *txPlan) { txPlanPool.Put(p) }
 
 // receiverPool recycles Receivers together with their Batch columns, so
 // per-call paths like System.Deliver can run a fully warmed receiver
