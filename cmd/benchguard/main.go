@@ -11,11 +11,6 @@
 // twin). It can also capture a deterministic metrics snapshot from a
 // short instrumented session, for upload as a CI artifact.
 //
-// Re-run mode also gates the session-arena contract (-verify-arena,
-// default on): the same fully instrumented workload runs fresh-allocated
-// and out of a warm, dirtied arena — single-receiver and broadcast — and
-// the telemetry, health, prof and log snapshots must match byte for byte.
-//
 // Besides the re-run gate, benchguard can statically audit a freshly
 // generated phybench report (-results) against the recorded baseline:
 // allocs/op must not grow (-gate-allocs), bytes/op on the zero-alloc
@@ -54,7 +49,6 @@
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -117,13 +111,12 @@ func main() {
 	benchtime := flag.Duration("benchtime", 2*time.Second, "minimum measurement time per benchmark")
 	snapshotOut := flag.String("snapshot-out", "", "also run a short instrumented session and write its telemetry snapshot JSON here")
 	resultsPath := flag.String("results", "", "freshly generated phybench report to audit statically against the baseline (skips the re-run gate)")
-	gateAllocs := flag.String("gate-allocs", "end_to_end_frame,receiver_process,phy_transmit,session_frames_arena,fleet_sessions_arena", "comma-separated entries whose allocs/op must not exceed the baseline's")
-	gateBytes := flag.String("gate-bytes", "end_to_end_frame,receiver_process,phy_transmit,session_frames_arena", "comma-separated zero-alloc entries whose bytes/op must not creep past the baseline (small slack absorbs runtime accounting noise)")
+	gateAllocs := flag.String("gate-allocs", "end_to_end_frame,receiver_process,phy_transmit,session_frames,fleet_sessions", "comma-separated entries whose allocs/op must not exceed the baseline's")
+	gateBytes := flag.String("gate-bytes", "end_to_end_frame,receiver_process,phy_transmit", "comma-separated zero-alloc entries whose bytes/op must not creep past the baseline (small slack absorbs runtime accounting noise)")
 	gateThroughput := flag.String("gate-throughput", "end_to_end_frame,receiver_process,fleet_sessions,session_frames", "comma-separated entries whose per-core frame / session throughput must hold within the tolerance")
 	gateCurves := flag.Bool("gate-curves", true, "with -results: require every speedup curve to reach 1.0x at workers=4 (skipped on single-core hosts)")
 	gateOverhead := flag.String("gate-overhead", "end_to_end_frame_prof,end_to_end_frame_vlog,fleet_sessions_agg", "with -results: comma-separated entries whose overhead_vs_nil must stay within -overhead-limit")
 	overheadLimit := flag.Float64("overhead-limit", 0.03, "allowed fractional overhead over the nil twin for -gate-overhead entries")
-	verifyArena := flag.Bool("verify-arena", true, "in re-run mode: run fresh vs warm-arena session twins and require byte-identical telemetry, health, prof and log snapshots")
 	trendPath := flag.String("trend", "", "bench history log (BENCH_history.jsonl) to gate the newest run against its rolling median")
 	trendWindow := flag.Int("trend-window", 5, "with -trend: rolling-median window in runs (0 = all)")
 	trendTolerance := flag.Float64("trend-tolerance", 0.10, "with -trend: allowed fractional slowdown over the rolling median")
@@ -153,13 +146,6 @@ func main() {
 	sys, err := smartvlc.New(smartvlc.DefaultConstraints())
 	if err != nil {
 		fatal(err)
-	}
-
-	if *verifyArena {
-		if err := verifyArenaTwins(sys); err != nil {
-			fatal(err)
-		}
-		fmt.Println("arena twins: byte-identical (fresh vs warm, single + broadcast)")
 	}
 
 	if *snapshotOut != "" {
@@ -325,87 +311,6 @@ func sessionBody(sys *smartvlc.System, withHealth, withProf, withLog bool) func(
 			}
 		}
 	}
-}
-
-// verifyArenaTwins is the arena-equivalence gate: the same fully
-// instrumented workload runs fresh-allocated and out of a warm, already
-// dirtied arena — single-receiver and then broadcast — and the telemetry,
-// link-health and stage-profile snapshots must match byte for byte. This
-// is the contract that lets every warm-arena benchmark number stand in
-// for the fresh path's behavior.
-func verifyArenaTwins(sys *smartvlc.System) error {
-	mkCfg := func() smartvlc.SessionConfig {
-		cfg := smartvlc.DefaultSessionConfig(sys.Scheme())
-		cfg.FixedLevel = 0.5
-		cfg.Seed = 7
-		cfg.Telemetry = smartvlc.NewTelemetry()
-		cfg.Health = &smartvlc.HealthConfig{Objectives: smartvlc.DefaultHealthObjectives()}
-		cfg.Prof = smartvlc.NewProfiler()
-		cfg.Logs = smartvlc.NewLogger(smartvlc.LogDebug)
-		return cfg
-	}
-	compare := func(kind string, fresh, warm []interface{ JSON() ([]byte, error) }) error {
-		labels := []string{"telemetry", "health", "prof", "logs"}
-		for i := range fresh {
-			fb, err := fresh[i].JSON()
-			if err != nil {
-				return err
-			}
-			wb, err := warm[i].JSON()
-			if err != nil {
-				return err
-			}
-			if !bytes.Equal(fb, wb) {
-				return fmt.Errorf("arena twin DIVERGED: %s %s snapshot differs between fresh and warm runs", kind, labels[i])
-			}
-		}
-		return nil
-	}
-
-	fresh, err := smartvlc.RunSession(mkCfg(), 0.3)
-	if err != nil {
-		return err
-	}
-	a := smartvlc.NewArena()
-	// Dirty the arena with a different session shape first, so the gate
-	// checks a genuinely reused (not merely pre-sized) arena.
-	dirty := mkCfg()
-	dirty.Seed = 99
-	dirty.FixedLevel = 0.3
-	if _, err := a.Run(dirty, 0.2); err != nil {
-		return err
-	}
-	warm, err := a.Run(mkCfg(), 0.3)
-	if err != nil {
-		return err
-	}
-	if err := compare("session",
-		[]interface{ JSON() ([]byte, error) }{fresh.Telemetry, fresh.Health, fresh.Prof, fresh.Logs},
-		[]interface{ JSON() ([]byte, error) }{warm.Telemetry, warm.Health, warm.Prof, warm.Logs}); err != nil {
-		return err
-	}
-
-	mkBC := func() smartvlc.BroadcastConfig {
-		cfg := smartvlc.BroadcastConfig{}
-		cfg.Config = mkCfg()
-		base := cfg.Geometry
-		cfg.Receivers = []smartvlc.ReceiverPose{
-			{Geometry: base},
-			{Geometry: base, AmbientScale: 1.3},
-		}
-		return cfg
-	}
-	freshB, err := smartvlc.RunBroadcast(mkBC(), 0.3)
-	if err != nil {
-		return err
-	}
-	warmB, err := a.RunBroadcast(mkBC(), 0.3)
-	if err != nil {
-		return err
-	}
-	return compare("broadcast",
-		[]interface{ JSON() ([]byte, error) }{freshB.Telemetry, freshB.Health, freshB.Prof, freshB.Logs},
-		[]interface{ JSON() ([]byte, error) }{warmB.Telemetry, warmB.Health, warmB.Prof, warmB.Logs})
 }
 
 func loadFile(path string) (*baselineFile, error) {

@@ -62,10 +62,9 @@ var baselinesNs = map[string]float64{
 // machine (so it only exceeds 1 on multi-core hosts — see NumCPU in the
 // report header).
 var serialPeer = map[string]string{
-	"fleet_sessions_parallel":       "fleet_sessions",
-	"fleet_sessions_arena_parallel": "fleet_sessions_arena",
-	"fig4_montecarlo_parallel":      "fig4_montecarlo",
-	"broadcast_fanout_parallel":     "broadcast_fanout",
+	"fleet_sessions_parallel":   "fleet_sessions",
+	"fig4_montecarlo_parallel":  "fig4_montecarlo",
+	"broadcast_fanout_parallel": "broadcast_fanout",
 }
 
 // nilPeer maps each instrumented benchmark to its observability-off twin;
@@ -78,18 +77,6 @@ var nilPeer = map[string]string{
 	"end_to_end_frame_vlog":    "session_frames",
 	"fleet_sessions_telemetry": "fleet_sessions",
 	"fleet_sessions_agg":       "fleet_sessions_telemetry",
-}
-
-// arenaPeer maps each warm-arena benchmark to its fresh-allocation twin;
-// the recorded ArenaSpeedup is fresh ns/op over warm ns/op. The twins run
-// the exact same session workload — the arena contract guarantees
-// byte-identical results — so the ratio isolates what session setup
-// allocation actually costs (and shows honestly how compute-bound the
-// sessions are: most of a session is physics, not allocation).
-var arenaPeer = map[string]string{
-	"session_frames_arena":          "session_frames",
-	"fleet_sessions_arena":          "fleet_sessions",
-	"fleet_sessions_arena_parallel": "fleet_sessions_parallel",
 }
 
 type entry struct {
@@ -120,10 +107,7 @@ type entry struct {
 	// used — the per-core session throughput benchguard trends across
 	// commits, comparable between serial and parallel twins.
 	SessionsPerSecPerCore float64 `json:"sessions_per_sec_per_core,omitempty"`
-	// ArenaSpeedup is the fresh-allocation twin's ns/op over this entry's,
-	// recorded on the *_arena entries (see arenaPeer).
-	ArenaSpeedup float64 `json:"arena_speedup,omitempty"`
-	Iterations   int     `json:"iterations"`
+	Iterations            int     `json:"iterations"`
 }
 
 // curvePoint is one (workers, ns/op) measurement of a parallel twin.
@@ -263,24 +247,6 @@ func main() {
 			}
 		}
 	}
-	// Warm-arena twin: one persistent pool serves every iteration, so each
-	// op after the first rents warm per-worker arenas and session setup
-	// stops allocating. Byte-identical results to fleetBody by the arena
-	// contract — only where state lives differs.
-	fleetArenaBody := func(workers int) func(b *testing.B) {
-		return func(b *testing.B) {
-			arenas := smartvlc.NewFleetArenas()
-			for i := 0; i < b.N; i++ {
-				fl, err := smartvlc.RunFleetArenas(arenas, fleetCfgs(), 0.1, workers)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(fl.Results) != 8 {
-					b.Fatalf("fleet returned %d sessions", len(fl.Results))
-				}
-			}
-		}
-	}
 	// Telemetry-armed twin of fleet_sessions: every session carries a
 	// registry but no watch feed, splitting the instrumented cost in two —
 	// this entry prices the metrics layer against the bare fleet, and
@@ -408,23 +374,6 @@ func main() {
 			}
 		}
 	}
-	// Warm-arena twin of session_frames: one arena serves every iteration,
-	// so ops after the first reuse the rented link/receiver/codec/MAC state.
-	arenaSessionBody := func(b *testing.B) {
-		a := smartvlc.NewArena()
-		for i := 0; i < b.N; i++ {
-			cfg := smartvlc.DefaultSessionConfig(sys.Scheme())
-			cfg.FixedLevel = 0.5
-			cfg.Seed = uint64(i + 1)
-			res, err := a.Run(cfg, 0.1)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if res.FramesOK == 0 {
-				b.Fatal("no frames delivered")
-			}
-		}
-	}
 	ncpu := runtime.NumCPU()
 
 	benches := []struct {
@@ -532,7 +481,6 @@ func main() {
 			}
 		}},
 		{name: "session_frames", sessions: 1, body: sessionBody(false, false, false)},
-		{name: "session_frames_arena", sessions: 1, body: arenaSessionBody},
 		{name: "end_to_end_frame_health", sessions: 1, body: sessionBody(true, false, false)},
 		{name: "end_to_end_frame_prof", sessions: 1, body: sessionBody(false, true, false)},
 		{name: "end_to_end_frame_vlog", sessions: 1, body: sessionBody(false, false, true)},
@@ -540,8 +488,6 @@ func main() {
 		{name: "fleet_sessions_telemetry", workers: 1, sessions: 8, body: fleetTelemetryBody},
 		{name: "fleet_sessions_agg", workers: 1, sessions: 8, body: fleetAggBody},
 		{name: "fleet_sessions_parallel", workers: ncpu, sessions: 8, body: fleetBody(ncpu)},
-		{name: "fleet_sessions_arena", workers: 1, sessions: 8, body: fleetArenaBody(1)},
-		{name: "fleet_sessions_arena_parallel", workers: ncpu, sessions: 8, body: fleetArenaBody(ncpu)},
 		{name: "fig4_montecarlo", workers: 1, body: mcBody(1)},
 		{name: "fig4_montecarlo_parallel", workers: ncpu, body: mcBody(ncpu)},
 		{name: "broadcast_fanout", workers: 1, sessions: 1, body: bcastBody(1)},
@@ -596,11 +542,6 @@ func main() {
 			e.SessionsPerSecPerCore = e.SessionsPerSec / float64(cores)
 			sessByName[bm.name] = e.SessionsPerSec
 		}
-		if peer, ok := arenaPeer[bm.name]; ok {
-			if fresh := nsByName[peer]; fresh > 0 {
-				e.ArenaSpeedup = fresh / nsPerOp
-			}
-		}
 		rep.Benchmarks = append(rep.Benchmarks, e)
 		fmt.Printf("%-29s %12.0f ns/op  %8d B/op  %5d allocs/op", bm.name, nsPerOp, e.BytesPerOp, e.AllocsPerOp)
 		if e.SpeedupVsSeed > 0 {
@@ -611,9 +552,6 @@ func main() {
 		}
 		if _, ok := nilPeer[bm.name]; ok {
 			fmt.Printf("  %+.1f%% vs nil twin", e.OverheadVsNil*100)
-		}
-		if e.ArenaSpeedup > 0 {
-			fmt.Printf("  %.2fx vs fresh twin", e.ArenaSpeedup)
 		}
 		fmt.Println()
 	}
@@ -627,7 +565,6 @@ func main() {
 		body func(workers int) func(b *testing.B)
 	}{
 		{"fleet_sessions", fleetBody},
-		{"fleet_sessions_arena", fleetArenaBody},
 		{"fig4_montecarlo", mcBody},
 		{"broadcast_fanout", bcastBody},
 	}

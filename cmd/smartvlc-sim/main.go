@@ -83,7 +83,6 @@ import (
 	"net/http"
 	"os"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"smartvlc"
@@ -102,7 +101,6 @@ func main() {
 	seed := flag.Uint64("seed", 1, "simulation seed (fleet sessions use seed, seed+1, ...)")
 	sessions := flag.Int("sessions", 1, "number of independent sessions to run as a fleet")
 	workers := flag.Int("workers", 0, "goroutines for the fleet (0 = GOMAXPROCS)")
-	fleetRepeat := flag.Int("fleet-repeat", 1, "run the fleet N times on a persistent session-arena pool and report cold vs warm sessions/sec (outputs come from the final repeat)")
 	fleetWatch := flag.Bool("fleet-watch", false, "stream fleet aggregation while the fleet runs: with -metrics-addr, /fleet and /fleet/stream serve live rollups and worst-sessions tables mid-run")
 	fleetWindow := flag.Float64("fleet-window", 0.1, "fleet aggregation window width in simulated seconds")
 	aggOut := flag.String("agg-out", "", "write the final fleet aggregation snapshot to FILE as canonical JSON (\"-\" for stdout; render with vlctop -fleet)")
@@ -175,7 +173,7 @@ func main() {
 	}
 
 	if *sessions > 1 {
-		runFleet(cfg, sch, *sessions, *workers, *fleetRepeat, *seconds, fleetOut{
+		runFleet(cfg, sch, *sessions, *workers, *seconds, fleetOut{
 			wantMetrics:    wantMetrics,
 			wantProf:       wantProf,
 			wantLogs:       wantLogs,
@@ -379,73 +377,51 @@ type fleetOut struct {
 
 // runFleet runs the multi-session mode: n sessions with seeds seed,
 // seed+1, ..., each on its own registry when metrics were requested, and
-// reports the aggregate plus the wall-clock sessions/sec rate. With
-// repeat > 1 the fleet runs that many times against one persistent
-// session-arena pool — later repeats rent warm per-worker arenas, so the
-// cold/warm rate split isolates the allocation cost of session setup.
-// Registries are stateful, so each repeat builds fresh configs; results
-// are byte-identical across repeats by the arena contract, and the
-// printed aggregates come from the final (warmest) repeat.
-func runFleet(base smartvlc.SessionConfig, sch smartvlc.Scheme, n, workers, repeat int, seconds float64, out fleetOut) {
-	if repeat < 1 {
-		repeat = 1
+// reports the aggregate plus the wall-clock sessions/sec rate.
+func runFleet(base smartvlc.SessionConfig, sch smartvlc.Scheme, n, workers int, seconds float64, out fleetOut) {
+	var fa *smartvlc.FleetAggregator
+	if out.watch || out.aggOut != "" {
+		var err error
+		fa, err = smartvlc.NewFleetAggregator(smartvlc.FleetAggConfig{WindowSeconds: out.window}, n)
+		if err != nil {
+			fatal(err)
+		}
 	}
-	wantAgg := out.watch || out.aggOut != ""
-	// Registries and aggregators are stateful, so each repeat builds both
-	// fresh; the aggregator comes back so the repeat loop can publish it
-	// to the live endpoints.
-	mkCfgs := func() ([]smartvlc.SessionConfig, *smartvlc.FleetAggregator) {
-		var fa *smartvlc.FleetAggregator
-		if wantAgg {
-			var err error
-			fa, err = smartvlc.NewFleetAggregator(smartvlc.FleetAggConfig{WindowSeconds: out.window}, n)
+	cfgs := make([]smartvlc.SessionConfig, n)
+	for i := range cfgs {
+		cfg := base
+		cfg.Seed = base.Seed + uint64(i)
+		if out.wantMetrics || fa != nil { // the watch feed streams registry deltas
+			cfg.Telemetry = smartvlc.NewTelemetry()
+		}
+		if out.traceDir != "" {
+			cfg.Spans = smartvlc.NewSpanCollector()
+		}
+		if out.wantProf {
+			cfg.Prof = smartvlc.NewProfiler()
+		}
+		if out.wantLogs {
+			cfg.Logs = smartvlc.NewLogger(out.logLevel)
+		}
+		if fa != nil {
+			feed, err := fa.Feed(smartvlc.FleetSessionMeta{
+				Index: i, Seed: cfg.Seed, Scheme: sch.Name(), PayloadBytes: cfg.PayloadBytes,
+			})
 			if err != nil {
 				fatal(err)
 			}
+			cfg.Watch = feed
 		}
-		cfgs := make([]smartvlc.SessionConfig, n)
-		for i := range cfgs {
-			cfg := base
-			cfg.Seed = base.Seed + uint64(i)
-			if out.wantMetrics || wantAgg { // the watch feed streams registry deltas
-				cfg.Telemetry = smartvlc.NewTelemetry()
-			}
-			if out.traceDir != "" {
-				cfg.Spans = smartvlc.NewSpanCollector()
-			}
-			if out.wantProf {
-				cfg.Prof = smartvlc.NewProfiler()
-			}
-			if out.wantLogs {
-				cfg.Logs = smartvlc.NewLogger(out.logLevel)
-			}
-			if fa != nil {
-				feed, err := fa.Feed(smartvlc.FleetSessionMeta{
-					Index: i, Seed: cfg.Seed, Scheme: sch.Name(), PayloadBytes: cfg.PayloadBytes,
-				})
-				if err != nil {
-					fatal(err)
-				}
-				cfg.Watch = feed
-			}
-			cfgs[i] = cfg
-		}
-		return cfgs, fa
+		cfgs[i] = cfg
 	}
 
 	// Live watch server: /fleet and /fleet/stream go up before the first
-	// session starts, answering from whichever repeat's aggregator is
-	// current; the remaining report routes join the same mux after the run.
-	var liveAgg atomic.Pointer[smartvlc.FleetAggregator]
+	// session starts; the remaining report routes join the same mux after
+	// the run.
 	var liveMux *http.ServeMux
 	if out.watch && out.metricsAddr != "" {
 		liveMux = http.NewServeMux()
-		addFleetRoutes(liveMux, func() *smartvlc.FleetAggSnapshot {
-			if a := liveAgg.Load(); a != nil {
-				return a.Snapshot()
-			}
-			return nil
-		})
+		addFleetRoutes(liveMux, fa.Snapshot)
 		ln, err := net.Listen("tcp", out.metricsAddr)
 		if err != nil {
 			fatal(err)
@@ -458,25 +434,12 @@ func runFleet(base smartvlc.SessionConfig, sch smartvlc.Scheme, n, workers, repe
 		}()
 	}
 
-	arenas := smartvlc.NewFleetArenas()
-	var fl smartvlc.FleetResult
-	var err error
-	var coldWall, wall time.Duration
-	for r := 0; r < repeat; r++ {
-		cfgs, fa := mkCfgs()
-		if fa != nil {
-			liveAgg.Store(fa)
-		}
-		start := time.Now()
-		fl, err = smartvlc.RunFleetArenas(arenas, cfgs, seconds, workers)
-		if err != nil {
-			fatal(err)
-		}
-		wall = time.Since(start)
-		if r == 0 {
-			coldWall = wall
-		}
+	start := time.Now()
+	fl, err := smartvlc.RunFleet(cfgs, seconds, workers)
+	if err != nil {
+		fatal(err)
 	}
+	wall := time.Since(start)
 
 	var goodput float64
 	var sent, ok, bad int
@@ -491,10 +454,6 @@ func runFleet(base smartvlc.SessionConfig, sch smartvlc.Scheme, n, workers, repe
 	rate := float64(n) / wall.Seconds()
 	fmt.Printf("wall clock  : %.3f s (%.2f sessions/sec, %.2f sessions/sec/core)\n",
 		wall.Seconds(), rate, rate/float64(fl.Workers))
-	if repeat > 1 {
-		fmt.Printf("arena warmup: cold %.2f sessions/sec -> warm %.2f sessions/sec over %d repeats\n",
-			float64(n)/coldWall.Seconds(), rate, repeat)
-	}
 	fmt.Printf("goodput     : %.1f kbps mean per session (%.1f kbps aggregate)\n",
 		goodput/float64(n)/1000, goodput/1000)
 	fmt.Printf("frames      : sent=%d ok=%d bad=%d\n", sent, ok, bad)
@@ -555,9 +514,8 @@ func runFleet(base smartvlc.SessionConfig, sch smartvlc.Scheme, n, workers, repe
 		runtimeMetrics: out.runtimeMetrics,
 	}
 	if liveMux != nil {
-		// The live mux already owns /fleet and /fleet/stream (still backed
-		// by the final repeat's aggregator); add the post-run report routes
-		// to it and keep serving.
+		// The live mux already owns /fleet and /fleet/stream; add the
+		// post-run report routes to it and keep serving.
 		addRoutes(liveMux, final)
 		fmt.Printf("metrics     : serving on http://%s/metrics (ctrl-c to stop)\n", out.metricsAddr)
 		select {}

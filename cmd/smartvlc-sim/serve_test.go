@@ -211,7 +211,7 @@ func TestFleetRoutes(t *testing.T) {
 }
 
 // TestFleetRoutesBeforeStart pins the live-server startup window: the
-// getter returning nil (no repeat has begun) answers 503, not a crash or
+// getter returning nil (aggregation not yet begun) answers 503, not a crash or
 // an empty payload.
 func TestFleetRoutesBeforeStart(t *testing.T) {
 	o := serveOpts{

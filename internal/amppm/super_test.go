@@ -84,6 +84,14 @@ func TestSelectExactVertex(t *testing.T) {
 	}
 }
 
+// TestSelectRejectsNaN: a NaN level fails every ordered comparison, so it
+// used to slip past the range check and index the envelope at -1.
+func TestSelectRejectsNaN(t *testing.T) {
+	if _, err := defaultTable(t).Select(math.NaN()); err == nil {
+		t.Fatal("Select(NaN) returned no error")
+	}
+}
+
 func TestSelectAchievesFineResolution(t *testing.T) {
 	tab := defaultTable(t)
 	// Paper §6.1: Nmax = 500 slots, so dimming resolution ≈ 1/500 = 0.002.

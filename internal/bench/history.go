@@ -33,8 +33,7 @@ type Record struct {
 	// NsPerOp maps benchmark name to its measured ns/op.
 	NsPerOp map[string]float64 `json:"ns_per_op"`
 	// SessionsPerSec maps each session-loop benchmark to its whole-session
-	// throughput — the headline rate the arena work optimizes, trended
-	// alongside ns/op so warm-vs-fresh progress survives in the log.
+	// throughput, trended alongside ns/op.
 	SessionsPerSec map[string]float64 `json:"sessions_per_sec,omitempty"`
 }
 
@@ -147,9 +146,7 @@ func StageFor(bench string) string {
 	case "receiver_process":
 		return "phy.decode"
 	case "end_to_end_frame", "end_to_end_frame_spans", "end_to_end_frame_health", "end_to_end_frame_prof",
-		"session_frames", "session_frames_arena",
-		"fleet_sessions", "fleet_sessions_parallel",
-		"fleet_sessions_arena", "fleet_sessions_arena_parallel",
+		"session_frames", "fleet_sessions", "fleet_sessions_parallel",
 		"broadcast_fanout", "broadcast_fanout_parallel":
 		return "sim.frame"
 	case "table_construction":

@@ -90,14 +90,6 @@ type Filter struct {
 // NewFilter returns a filter for the photodiode.
 func NewFilter(pd Photodiode) *Filter { return &Filter{pd: pd} }
 
-// Reset returns the filter to its just-constructed state for the given
-// photodiode, so a reusable arena can rent the same Filter across
-// sessions without retaining state from the previous one.
-func (f *Filter) Reset(pd Photodiode) {
-	f.pd = pd
-	f.out, f.set = 0, false
-}
-
 // Step feeds an input sample observed for dt seconds and returns the
 // filtered output.
 func (f *Filter) Step(in, dt float64) float64 {

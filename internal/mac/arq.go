@@ -27,7 +27,6 @@ type seqBitmap [seqWords]uint64
 func (m *seqBitmap) has(seq uint16) bool { return m[seq>>6]&(1<<(seq&63)) != 0 }
 func (m *seqBitmap) set(seq uint16)      { m[seq>>6] |= 1 << (seq & 63) }
 func (m *seqBitmap) clear(seq uint16)    { m[seq>>6] &^= 1 << (seq & 63) }
-func (m *seqBitmap) reset()              { *m = seqBitmap{} }
 
 // payloadSeed keys the deterministic per-seq payload generator. Sender
 // and Receiver must derive the body from the same stream so validation
@@ -116,42 +115,16 @@ type Sender struct {
 
 // NewSender builds an ARQ sender.
 func NewSender(window, payloadBytes int, timeout float64, rng *rand.Rand) (*Sender, error) {
-	s := &Sender{}
-	if err := s.Reset(window, payloadBytes, timeout, rng); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-// Reset returns the sender to its just-constructed state for the given
-// parameters, reusing the in-flight slice and payload scratch. A renting
-// arena calls this instead of NewSender so warm sessions start with zero
-// MAC allocations. Metrics and Prof are cleared, matching a fresh sender.
-func (s *Sender) Reset(window, payloadBytes int, timeout float64, rng *rand.Rand) error {
 	if window < 1 {
-		return fmt.Errorf("mac: window %d < 1", window)
+		return nil, fmt.Errorf("mac: window %d < 1", window)
 	}
 	if payloadBytes < 1 || payloadBytes > 65000 {
-		return fmt.Errorf("mac: payload %d bytes out of range", payloadBytes)
+		return nil, fmt.Errorf("mac: payload %d bytes out of range", payloadBytes)
 	}
 	if timeout <= 0 {
-		return fmt.Errorf("mac: timeout %v must be positive", timeout)
+		return nil, fmt.Errorf("mac: timeout %v must be positive", timeout)
 	}
-	s.Window = window
-	s.TimeoutSeconds = timeout
-	s.PayloadBytes = payloadBytes
-	s.Metrics = nil
-	s.Prof = nil
-	s.Log = nil
-	s.rng = rng
-	s.nextSeq = 0
-	s.inflight = s.inflight[:0]
-	s.framesSent = 0
-	s.retransmits = 0
-	s.ackedPayload = 0
-	s.acked.reset()
-	s.uniqueAcked = 0
-	return nil
+	return &Sender{Window: window, TimeoutSeconds: timeout, PayloadBytes: payloadBytes, rng: rng}, nil
 }
 
 // payloadFor deterministically generates the frame body for a sequence
@@ -312,21 +285,7 @@ type Receiver struct {
 
 // NewReceiverSide builds the receiver-side ARQ state.
 func NewReceiverSide(payloadBytes int) *Receiver {
-	r := &Receiver{}
-	r.Reset(payloadBytes)
-	return r
-}
-
-// Reset returns the receiver to its just-constructed state, reusing the
-// validation scratch, so an arena can rent it across sessions.
-func (r *Receiver) Reset(payloadBytes int) {
-	r.payloadBytes = payloadBytes
-	r.seen.reset()
-	r.head = 0
-	r.headSet = false
-	r.delivered = 0
-	r.duplicates = 0
-	r.corrupt = 0
+	return &Receiver{payloadBytes: payloadBytes}
 }
 
 // advanceHead moves the dedup window head forward to seq, clearing the

@@ -69,20 +69,6 @@ func NewSideChannel(latency, jitter, loss float64, rng *rand.Rand) *SideChannel 
 	return &SideChannel{LatencySeconds: latency, JitterSeconds: jitter, LossProb: loss, rng: rng}
 }
 
-// Reset returns the channel to its just-constructed state for the given
-// parameters, keeping the queue and receive scratch capacity so a renting
-// arena pays no per-session allocations. Metrics and Spans are cleared,
-// matching a fresh channel.
-func (s *SideChannel) Reset(latency, jitter, loss float64, rng *rand.Rand) {
-	s.LatencySeconds = latency
-	s.JitterSeconds = jitter
-	s.LossProb = loss
-	s.Metrics = nil
-	s.Spans = nil
-	s.rng = rng
-	s.queue = s.queue[:0]
-}
-
 // Send enqueues a message at time now; it may silently drop it.
 func (s *SideChannel) Send(now float64, m Message) {
 	if s.LossProb > 0 && s.rng.Float64() < s.LossProb {

@@ -50,18 +50,6 @@ func NewVLCUplink(bitRate float64, messageBits int, rangeM, distanceM float64) *
 	return &VLCUplink{BitRate: bitRate, MessageBits: messageBits, RangeM: rangeM, DistanceM: distanceM}
 }
 
-// Reset returns the uplink to its just-constructed state for the given
-// parameters, keeping queue and scratch capacity for a renting arena.
-func (u *VLCUplink) Reset(bitRate float64, messageBits int, rangeM, distanceM float64) {
-	u.BitRate = bitRate
-	u.MessageBits = messageBits
-	u.RangeM = rangeM
-	u.DistanceM = distanceM
-	u.Metrics = nil
-	u.lastFree = 0
-	u.queue = u.queue[:0]
-}
-
 // Send implements Uplink.
 func (u *VLCUplink) Send(now float64, m Message) {
 	if u.DistanceM > u.RangeM || u.BitRate <= 0 {

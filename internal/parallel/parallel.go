@@ -73,14 +73,6 @@ func PCG(seed, salt uint64, shard int) *rand.PCG {
 	return rand.NewPCG(seed, salt+uint64(shard))
 }
 
-// ReseedPCG rewinds an existing generator onto the stream PCG would
-// return for (seed, salt, shard). A reusable arena reseeds its retained
-// generators instead of allocating fresh ones; the derivation lives here
-// so the two can never drift apart.
-func ReseedPCG(p *rand.PCG, seed, salt uint64, shard int) {
-	p.Seed(seed, salt+uint64(shard))
-}
-
 // Shard is one contiguous span of a sharded workload.
 type Shard struct {
 	// Index is the shard number — the RNG stream selector.
@@ -179,57 +171,6 @@ func Map[T any](workers, n int, fn func(i int) (T, error)) ([]T, error) {
 		return nil
 	})
 	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// MapWorker is Map with per-worker rented state: each worker goroutine
-// calls rent() once before draining indices, passes the rented value to
-// every fn it runs, and hands it to release() when it finishes (release
-// may be nil). With one worker everything runs on the calling goroutine
-// with a single rented value. The determinism contract is unchanged —
-// rented state must never influence results, only amortize their cost
-// (scratch buffers, warm session arenas) — and the index→worker
-// assignment remains intentionally nondeterministic.
-func MapWorker[S, T any](workers, n int, rent func() S, release func(S), fn func(i int, s S) (T, error)) ([]T, error) {
-	if n <= 0 {
-		return nil, nil
-	}
-	w := Workers(workers)
-	if w > n {
-		w = n
-	}
-	out := make([]T, n)
-	errs := make([]error, n)
-	body := func(s S, next func() int) {
-		for {
-			i := next()
-			if i >= n {
-				break
-			}
-			out[i], errs[i] = fn(i, s)
-		}
-		if release != nil {
-			release(s)
-		}
-	}
-	if w == 1 {
-		i := 0
-		body(rent(), func() int { i++; return i - 1 })
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for g := 0; g < w; g++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				body(rent(), func() int { return int(next.Add(1)) - 1 })
-			}()
-		}
-		wg.Wait()
-	}
-	if err := firstError(errs); err != nil {
 		return nil, err
 	}
 	return out, nil

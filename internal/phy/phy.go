@@ -307,9 +307,9 @@ type Receiver struct {
 	// when a column outgrows its scratch (grownInts and foldSlots size
 	// capacity exactly, the payload spine grows one slot at a time), so
 	// "needed size exceeded the high-water" reproduces the fresh alloc
-	// pattern bit-for-bit even when the receiver is rented warm from an
-	// arena and the real buffers already fit. Reset zeroes them so a
-	// rented receiver's prof snapshot stays byte-identical to a
+	// pattern bit-for-bit even when the receiver is reused across channel
+	// rebuilds (Reset) and the real buffers already fit. Reset zeroes them
+	// so a reused receiver's prof snapshot stays byte-identical to a
 	// NewReceiver-per-rebuild run.
 	vWin3     int
 	vSlot     int

@@ -1,9 +1,11 @@
 package sim
 
 import (
+	"context"
 	"encoding/hex"
 	"fmt"
 	"math"
+	"math/rand/v2"
 	"strconv"
 
 	"smartvlc/internal/frame"
@@ -109,23 +111,85 @@ type BroadcastResult struct {
 	Logs *vlog.Snapshot
 }
 
+// rxOutbox buffers one frame window's side-channel traffic for one
+// broadcast receiver. The PHY work of a window runs concurrently per
+// receiver, but side.Send consumes the shared sideRng (loss and jitter
+// draws), so the sends are recorded here and replayed sequentially in
+// receiver order — exactly the sequence the serial loop produces.
+type rxOutbox struct {
+	ackSeqs []uint16
+	// newSeqs are the sequences newly delivered this window (ackSeqs
+	// minus re-acked duplicates) — what the health monitor counts as
+	// delivered payload and an ACK latency sample.
+	newSeqs    []uint16
+	stats      phy.Stats
+	ambient    float64
+	hasAmbient bool
+}
+
+// bcRxState is one broadcast receiver's session state.
+type bcRxState struct {
+	rng      *rand.Rand
+	pcg      *rand.PCG // rng's generator, for the PHY fast path
+	link     phy.Link
+	rx       *phy.Receiver
+	macRx    *mac.Receiver
+	lastLux  float64
+	remote   float64 // last reported ambient lux
+	reported bool
+	sumAcc   float64
+	sumN     int
+	out      rxOutbox
+	// Per-receiver stage-profiler handles (shard "rx<i>"), switched in
+	// the sequential phase on dimming-level changes. Nil when the
+	// profiler is unarmed; all adders no-op on nil.
+	profTx, profHunt, profDecode *prof.Stage
+	// spanBuf accumulates this shard's channel/hunt/decode spans for
+	// one frame; the merge loop splices it in receiver order.
+	spanBuf span.Buffer
+	// logBuf accumulates this shard's log records for one frame, spliced
+	// in receiver order like spanBuf so log snapshots stay byte-identical
+	// for any worker count.
+	logBuf vlog.Buffer
+}
+
+// bcRxProf is one receiver shard's stage-profiler handle set at one
+// dimming level.
+type bcRxProf struct{ tx, hunt, decode *prof.Stage }
+
+// bcLevelProf is the broadcast loop's per-dimming-level profiler state:
+// shared frame/mac handles, per-receiver shard handles, and the pre-built
+// pprof label context for the level.
+type bcLevelProf struct {
+	frame, mac *prof.Stage
+	rx         []bcRxProf
+	symbols    int64 // modulation symbols per frame body at this level
+	labels     context.Context
+}
+
 // RunBroadcast simulates a multi-receiver session. The dimming controller
 // follows the *minimum* ambient reported across receivers, so every desk
 // reaches at least the target illumination; frames are retransmitted
 // until all receivers acknowledge them. When the stage profiler is armed
 // the session body executes under pprof goroutine labels, like Run.
-// RunBroadcast allocates the session's working state fresh; Arena.
-// RunBroadcast rents it from a warm arena instead, byte-identically.
 func RunBroadcast(cfg BroadcastConfig, duration float64) (BroadcastResult, error) {
-	return NewArena().RunBroadcast(cfg, duration)
+	if cfg.Prof == nil || cfg.Scheme == nil {
+		return runBroadcast(cfg, duration)
+	}
+	var res BroadcastResult
+	var err error
+	parallel.Do(func() { res, err = runBroadcast(cfg, duration) },
+		"session", strconv.FormatUint(cfg.Seed, 10),
+		"scheme", cfg.Scheme.Name())
+	return res, err
 }
 
-func runBroadcast(cfg BroadcastConfig, duration float64, a *Arena) (BroadcastResult, error) {
+func runBroadcast(cfg BroadcastConfig, duration float64) (BroadcastResult, error) {
 	if len(cfg.Receivers) == 0 {
 		return BroadcastResult{}, fmt.Errorf("sim: broadcast needs at least one receiver")
 	}
-	if cfg.Scheme == nil || duration <= 0 || cfg.PayloadBytes <= 0 {
-		return BroadcastResult{}, fmt.Errorf("sim: invalid broadcast config")
+	if err := cfg.validate(duration); err != nil {
+		return BroadcastResult{}, err
 	}
 	for _, p := range cfg.Receivers {
 		if err := p.Geometry.Validate(); err != nil {
@@ -134,12 +198,13 @@ func runBroadcast(cfg BroadcastConfig, duration float64, a *Arena) (BroadcastRes
 	}
 
 	nRx := len(cfg.Receivers)
-	a.reseed(cfg.Seed, 0xC0FFEE, 0x51DE2, 0xACED2)
-	sender, err := a.rentSender(cfg.Window, cfg.PayloadBytes, cfg.AckTimeoutSeconds)
+	sender, err := mac.NewSender(cfg.Window, cfg.PayloadBytes, cfg.AckTimeoutSeconds,
+		rand.New(rand.NewPCG(cfg.Seed, 0xACED2)))
 	if err != nil {
 		return BroadcastResult{}, err
 	}
-	side := a.rentSideChannel(cfg.SideLatencySeconds, cfg.SideJitterSeconds, cfg.SideLossProb)
+	side := mac.NewSideChannel(cfg.SideLatencySeconds, cfg.SideJitterSeconds, cfg.SideLossProb,
+		rand.New(rand.NewPCG(cfg.Seed, 0x51DE2)))
 
 	// Span collection. The flight recorder is a single-receiver facility
 	// (Config.Flight is ignored here); spans cover the broadcast fan-out
@@ -184,11 +249,20 @@ func runBroadcast(cfg BroadcastConfig, duration float64, a *Arena) (BroadcastRes
 	}
 
 	// Per-receiver shards (see bcRxState): each owns its rng, link,
-	// receiver and outbox, rented warm from the arena.
-	rxs := a.rentBcReceivers(nRx, cfg.Seed, cfg.PayloadBytes)
-	if lg != nil {
-		for _, st := range rxs {
-			st.logBuf.Arm(lg.Min())
+	// receiver and outbox. Shard i draws from the stream parallel.PCG
+	// derives for its index, independent of every sibling.
+	rxs := make([]*bcRxState, nRx)
+	for i := range rxs {
+		pcg := parallel.PCG(cfg.Seed, 0xBEEF00, i)
+		rxs[i] = &bcRxState{
+			rng:     rand.New(pcg),
+			pcg:     pcg,
+			rx:      new(phy.Receiver),
+			macRx:   mac.NewReceiverSide(cfg.PayloadBytes),
+			lastLux: math.Inf(-1),
+		}
+		if lg != nil {
+			rxs[i].logBuf.Arm(lg.Min())
 		}
 	}
 	ensure := func(i int, lux float64) error {
@@ -214,11 +288,11 @@ func runBroadcast(cfg BroadcastConfig, duration float64, a *Arena) (BroadcastRes
 	// first transmission time — ring/bitmap-backed over the 16-bit
 	// sequence space instead of the maps they replace, so steady-state
 	// sessions stop growing the heap with traffic.
-	acked, complete, firstTx := a.rentBcBookkeeping(nRx)
+	acked, complete, firstTx := newAckRing(nRx), new(seqBits), newTimeRing()
 	reliableBytes := int64(0)
 
 	level := cfg.FixedLevel
-	a.codecs.reset(cfg.Scheme)
+	codecs := newCodecCache(cfg.Scheme)
 	smoothed, smoothedSet := 0.0, false
 	lastT := 0.0
 
@@ -243,7 +317,7 @@ func runBroadcast(cfg BroadcastConfig, duration float64, a *Arena) (BroadcastRes
 	}
 	// Keyed by the raw float level, like the codec cache: rendering the
 	// level label per frame would allocate in the armed hot loop.
-	bcProfCache := a.rentBcProfCache()
+	bcProfCache := make(map[float64]*bcLevelProf, 4)
 	var curProf *bcLevelProf
 	var profSymbols int64 // read by processRx; written only between fan-outs
 
@@ -271,15 +345,18 @@ func runBroadcast(cfg BroadcastConfig, duration float64, a *Arena) (BroadcastRes
 	}
 
 	var res BroadcastResult
-	slotBuf := a.slotBuf // frame slot waveform, reused across frames
-	a.vSlotLen = 0
+	var slotBuf []bool // frame slot waveform, reused across frames
+	var slotHigh slotHighWater
 	now := 0.0
 	lastRecord := -1.0
 
 	// Span state (see Config.Spans): per-sequence roots for retransmit
 	// chaining and the sample duration for receiver-side span times.
 	tsamp := 8e-6 / float64(phy.Oversample)
-	roots := a.rentRoots(col != nil)
+	var roots *rootRing // nil-safe: unarmed sessions read the zero span ID
+	if col != nil {
+		roots = newRootRing()
+	}
 	prevRetx := 0
 
 	// Per-receiver health monitors (nil entries are no-ops). Every
@@ -419,7 +496,7 @@ func runBroadcast(cfg BroadcastConfig, duration float64, a *Arena) (BroadcastRes
 			continue
 		}
 		reg.Emit(now, "frame/build", int64(seq))
-		codec, err := a.codecs.codecFor(level)
+		codec, err := codecs.codecFor(level)
 		if err != nil {
 			return BroadcastResult{}, err
 		}
@@ -463,10 +540,8 @@ func runBroadcast(cfg BroadcastConfig, duration float64, a *Arena) (BroadcastRes
 		}
 		slots = frame.AppendIdle(slots, codec.Level(), cfg.IdleGapSlots)
 		slotBuf = slots
-		grew := a.frameAlloc(len(slots))
+		grew := slotHigh.grew(len(slots))
 		if grew && lg.Enabled(vlog.Debug) {
-			// Keyed on the virtual high-water mark, so warm arena runs log
-			// the same growth events a fresh run would.
 			lg.Record(vlog.Record{
 				At: now, Level: vlog.Debug, Stage: "sim/arena",
 				Msg: "frame slot scratch grew", Seq: int64(seq),
@@ -637,9 +712,6 @@ func runBroadcast(cfg BroadcastConfig, duration float64, a *Arena) (BroadcastRes
 			reliableBytes += int64(cfg.PayloadBytes)
 		}
 	}
-
-	// Hand the grown slot scratch back to the arena for the next session.
-	a.slotBuf = slotBuf
 
 	res.Duration = now
 	res.FramesSent = sender.FramesSent()

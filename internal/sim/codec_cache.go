@@ -12,24 +12,14 @@ import (
 // of levels it revisits constantly, so after the first frame at a level
 // every later frame at it is a map hit; scheme.CodecFor stays the single
 // constructor, the cache only pins its results per level for the session.
-//
-// An arena retains the cache across sessions: reset clears the entries
-// (codec identity is only meaningful per scheme instance, and renting
-// sessions may switch schemes) but keeps the map's buckets, so warm
-// sessions repopulate it without allocating.
 type codecCache struct {
 	scheme  scheme.Scheme
 	byLevel map[float64]frame.PayloadCodec
 }
 
-// reset prepares the cache for a session running the given scheme.
-func (c *codecCache) reset(s scheme.Scheme) {
-	if c.byLevel == nil {
-		c.byLevel = make(map[float64]frame.PayloadCodec, 8)
-	} else {
-		clear(c.byLevel)
-	}
-	c.scheme = s
+// newCodecCache returns an empty cache for a session running s.
+func newCodecCache(s scheme.Scheme) codecCache {
+	return codecCache{scheme: s, byLevel: make(map[float64]frame.PayloadCodec, 8)}
 }
 
 // codecFor returns the scheme's codec for a dimming level, cached per

@@ -110,20 +110,6 @@ func (f FleetResult) WriteSessionTraces(dir string) error {
 // nondeterministically. Give each session its own registry (or none) and
 // read the merged snapshot.
 func RunFleet(cfgs []Config, duration float64, workers int) (FleetResult, error) {
-	return RunFleetArenas(NewFleetArenas(), cfgs, duration, workers)
-}
-
-// RunFleetArenas is RunFleet renting one session arena per worker from
-// the given pool: each worker claims an arena once, runs its share of the
-// sessions out of it, and returns it when the fleet drains. Passing a
-// persistent pool keeps the arenas warm across calls, which is what makes
-// repeated fleets approach zero per-session allocation; results are
-// byte-identical to RunFleet either way (rented state only amortizes
-// cost, it never influences results).
-func RunFleetArenas(arenas *FleetArenas, cfgs []Config, duration float64, workers int) (FleetResult, error) {
-	if arenas == nil {
-		arenas = NewFleetArenas()
-	}
 	if len(cfgs) == 0 {
 		return FleetResult{}, fmt.Errorf("sim: fleet needs at least one config")
 	}
@@ -183,10 +169,9 @@ func RunFleetArenas(arenas *FleetArenas, cfgs []Config, duration float64, worker
 	if w > len(cfgs) {
 		w = len(cfgs)
 	}
-	results, err := parallel.MapWorker(w, len(cfgs), arenas.rent, arenas.release,
-		func(i int, a *Arena) (Result, error) {
-			return a.Run(cfgs[i], duration)
-		})
+	results, err := parallel.Map(w, len(cfgs), func(i int) (Result, error) {
+		return Run(cfgs[i], duration)
+	})
 	if err != nil {
 		return FleetResult{}, err
 	}

@@ -11,6 +11,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math"
+	"math/rand/v2"
 	"strconv"
 
 	"smartvlc/internal/frame"
@@ -118,7 +119,7 @@ type Config struct {
 	// the narrative of what the link decided: phy hunt/decode outcomes,
 	// mac ACK/retransmit/window events, dimming adjustments, SLO
 	// transitions with burn-rate context, flight-recorder triggers and
-	// arena scratch growth. Run leaves a snapshot in Result.Logs. Like
+	// scratch growth. Run leaves a snapshot in Result.Logs. Like
 	// every other pillar, all record times are simulation time, receiver-
 	// side records are shard-buffered and spliced in deterministic order,
 	// and nil is the zero-cost default (one branch per call site, zero
@@ -214,13 +215,16 @@ type Result struct {
 // goroutine labels (session = seed, scheme) so wall-clock CPU profiles
 // line up with the deterministic stage profile; the profiling-off path
 // adds nothing.
-//
-// Run allocates the session's working state fresh; Arena.Run rents it
-// from a warm arena instead, with byte-identical results. Both paths
-// share one implementation — a fresh run is simply a run out of an empty
-// arena.
 func Run(cfg Config, duration float64) (Result, error) {
-	return NewArena().Run(cfg, duration)
+	if cfg.Prof == nil || cfg.Scheme == nil {
+		return run(cfg, duration)
+	}
+	var res Result
+	var err error
+	parallel.Do(func() { res, err = run(cfg, duration) },
+		"session", strconv.FormatUint(cfg.Seed, 10),
+		"scheme", cfg.Scheme.Name())
+	return res, err
 }
 
 // profStages caches the per-level stage handles and pprof label context
@@ -236,15 +240,55 @@ type profStages struct {
 // handle no-ops, so the frame loop reads fields unconditionally.
 var noProf profStages
 
-func run(cfg Config, duration float64, a *Arena) (Result, error) {
+// validate checks the session parameters Run and RunBroadcast share.
+// Non-finite values are rejected up front: a NaN duration or level would
+// otherwise slip past every ordered comparison below (NaN goodput, an
+// out-of-range table index), and an infinite duration never ends.
+func (cfg *Config) validate(duration float64) error {
 	if cfg.Scheme == nil {
-		return Result{}, fmt.Errorf("sim: nil scheme")
+		return fmt.Errorf("sim: nil scheme")
 	}
-	if duration <= 0 {
-		return Result{}, fmt.Errorf("sim: duration %v must be positive", duration)
+	if !(duration > 0) || math.IsInf(duration, 1) {
+		return fmt.Errorf("sim: duration %v must be positive and finite", duration)
 	}
 	if cfg.PayloadBytes <= 0 {
-		return Result{}, fmt.Errorf("sim: payload %d bytes", cfg.PayloadBytes)
+		return fmt.Errorf("sim: payload %d bytes", cfg.PayloadBytes)
+	}
+	if !finite(cfg.FixedLevel) || !finite(cfg.TargetSum) {
+		return fmt.Errorf("sim: dimming level %v / target %v must be finite", cfg.FixedLevel, cfg.TargetSum)
+	}
+	if !(cfg.SideLossProb >= 0 && cfg.SideLossProb <= 1) {
+		return fmt.Errorf("sim: side-channel loss %v outside [0, 1]", cfg.SideLossProb)
+	}
+	if !finite(cfg.SideLatencySeconds) || cfg.SideLatencySeconds < 0 ||
+		!finite(cfg.SideJitterSeconds) || cfg.SideJitterSeconds < 0 {
+		return fmt.Errorf("sim: side-channel latency %v / jitter %v must be finite and non-negative",
+			cfg.SideLatencySeconds, cfg.SideJitterSeconds)
+	}
+	return nil
+}
+
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+
+// slotHighWater applies the frame-stage scratch-growth rule: one virtual
+// allocation whenever a frame's slot waveform exceeds the session's
+// high-water length. The rule is a pure function of the (deterministic)
+// waveform lengths, unlike append's real reallocations, so the prof alloc
+// counter and the "sim/arena" growth log do not depend on the runtime's
+// capacity policy.
+type slotHighWater int
+
+func (h *slotHighWater) grew(slotLen int) bool {
+	if slotLen > int(*h) {
+		*h = slotHighWater(slotLen)
+		return true
+	}
+	return false
+}
+
+func run(cfg Config, duration float64) (Result, error) {
+	if err := cfg.validate(duration); err != nil {
+		return Result{}, err
 	}
 	if err := cfg.Geometry.Validate(); err != nil {
 		return Result{}, err
@@ -253,8 +297,10 @@ func run(cfg Config, duration float64, a *Arena) (Result, error) {
 		return Result{}, fmt.Errorf("sim: Watch requires Telemetry (the feed streams registry deltas)")
 	}
 
-	a.reseed(cfg.Seed, 0xC0FFEE, 0x51DE, 0xACED)
-	chanPCG, chanRng := a.chanPCG, a.chanRng
+	chanPCG := rand.NewPCG(cfg.Seed, 0xC0FFEE)
+	chanRng := rand.New(chanPCG)
+	sideRng := rand.New(rand.NewPCG(cfg.Seed, 0x51DE))
+	macRng := rand.New(rand.NewPCG(cfg.Seed, 0xACED))
 
 	// Instrument handles: every constructor returns nil on a nil registry
 	// and every nil handle is a no-op, so the loop below carries them
@@ -278,19 +324,19 @@ func run(cfg Config, duration float64, a *Arena) (Result, error) {
 	}
 
 	// Structured log handle: nil-safe like every other pillar. The
-	// receiver's records go through the arena's shard buffer (spliced per
+	// receiver's records go through a shard buffer (spliced per
 	// frame); the sender and the session loop write the logger directly —
 	// everything runs on this goroutine, so record order is program order.
 	lg := cfg.Logs
 
-	sender, err := a.rentSender(cfg.Window, cfg.PayloadBytes, cfg.AckTimeoutSeconds)
+	sender, err := mac.NewSender(cfg.Window, cfg.PayloadBytes, cfg.AckTimeoutSeconds, macRng)
 	if err != nil {
 		return Result{}, err
 	}
 	sender.Metrics = macm
 	sender.Log = lg
-	rxSide := a.rentReceiverSide(cfg.PayloadBytes)
-	sideCh := a.rentSideChannel(cfg.SideLatencySeconds, cfg.SideJitterSeconds, cfg.SideLossProb)
+	rxSide := mac.NewReceiverSide(cfg.PayloadBytes)
+	sideCh := mac.NewSideChannel(cfg.SideLatencySeconds, cfg.SideJitterSeconds, cfg.SideLossProb, sideRng)
 	sideCh.Metrics = macm
 	sideCh.Spans = col
 	var side mac.Uplink = sideCh
@@ -299,7 +345,7 @@ func run(cfg Config, duration float64, a *Arena) (Result, error) {
 		if rangeM <= 0 {
 			rangeM = 2.5
 		}
-		vlc := a.rentVLCUplink(cfg.UplinkVLCBitRate, 96, rangeM, cfg.Geometry.DistanceM)
+		vlc := mac.NewVLCUplink(cfg.UplinkVLCBitRate, 96, rangeM, cfg.Geometry.DistanceM)
 		vlc.Metrics = macm
 		side = vlc
 	}
@@ -316,11 +362,11 @@ func run(cfg Config, duration float64, a *Arena) (Result, error) {
 		}
 		controller.Metrics = light.NewMetrics(reg)
 	}
-	sensor := a.rentSensor(hw.OPT101())
+	sensor := hw.NewFilter(hw.OPT101())
 
 	tslot := 8e-6
 	level := cfg.FixedLevel
-	a.codecs.reset(cfg.Scheme)
+	codecs := newCodecCache(cfg.Scheme)
 
 	// Stage profiler handles, cached per quantized level like the codecs,
 	// so the frame loop attributes cost with field reads. Symbol counts
@@ -341,7 +387,7 @@ func run(cfg Config, duration float64, a *Arena) (Result, error) {
 			},
 		})
 	}
-	profCache := a.rentProfCache()
+	profCache := make(map[float64]*profStages, 4)
 	stagesFor := func(l float64, codec frame.PayloadCodec) *profStages {
 		if cfg.Prof == nil {
 			return &noProf
@@ -368,11 +414,11 @@ func run(cfg Config, duration float64, a *Arena) (Result, error) {
 	}
 	var curStages *profStages
 
-	// Channel state, rebuilt when ambient moves by >2 %. The arena's
-	// receiver shell is reconfigured via Reset on each rebuild — exactly
+	// Channel state, rebuilt when ambient moves by >2 %. The receiver
+	// shell is reconfigured via Reset on each rebuild — exactly
 	// NewReceiver's state, with the scratch columns retained.
 	var link phy.Link
-	rx := a.rentReceiver()
+	rx := new(phy.Receiver)
 	lastLux := math.Inf(-1)
 	ensureChannel := func(lux float64) error {
 		if lastLux > 0 && math.Abs(lux-lastLux) <= 0.02*lastLux {
@@ -392,18 +438,22 @@ func run(cfg Config, duration float64, a *Arena) (Result, error) {
 	}
 
 	var res Result
-	deliveredAt := a.deliveredAt[:0] // ack times for the per-second series
-	slotBuf := a.slotBuf             // frame slot waveform, reused across frames
-	a.vSlotLen = 0
+	var deliveredAt []float64 // ack times for the per-second series
+	var slotBuf []bool        // frame slot waveform, reused across frames
+	var slotHigh slotHighWater
 
 	// Span state: per-sequence root IDs (retransmit chains link onto
 	// them), the receiver-side shard buffer, and the sample duration for
 	// converting receiver sample indices to simulation time.
 	tsamp := tslot / float64(phy.Oversample)
-	roots := a.rentRoots(col != nil)
-	rxSpanBuf := &a.rxSpanBuf
-	rxLogBuf := &a.rxLogBuf
+	var roots *rootRing // nil-safe: unarmed sessions read the zero span ID
+	var rxSpanBuf *span.Buffer
+	if col != nil {
+		roots, rxSpanBuf = newRootRing(), new(span.Buffer)
+	}
+	var rxLogBuf *vlog.Buffer
 	if lg != nil {
+		rxLogBuf = new(vlog.Buffer)
 		rxLogBuf.Arm(lg.Min())
 	}
 	prevRetx := 0
@@ -553,7 +603,7 @@ func run(cfg Config, duration float64, a *Arena) (Result, error) {
 		}
 		retx := sender.Retransmits() > prevRetx
 		prevRetx = sender.Retransmits()
-		codec, err := a.codecs.codecFor(level)
+		codec, err := codecs.codecFor(level)
 		if err != nil {
 			return Result{}, fmt.Errorf("sim: level %v: %w", level, err)
 		}
@@ -581,10 +631,8 @@ func run(cfg Config, duration float64, a *Arena) (Result, error) {
 		st.frame.Slots(int64(len(slots)))
 		st.frame.Bytes(int64(len(body)))
 		st.frame.Symbols(st.symbolsPerFrame)
-		if a.frameAlloc(len(slots)) {
+		if slotHigh.grew(len(slots)) {
 			st.frame.Allocs(1)
-			// Scratch growth keys on the virtual high-water mark, so warm
-			// arena runs log the same growth events a fresh run would.
 			if lg.Enabled(vlog.Debug) {
 				lg.Record(vlog.Record{
 					At: now, Level: vlog.Debug, Stage: "sim/arena",
@@ -762,10 +810,6 @@ func run(cfg Config, duration float64, a *Arena) (Result, error) {
 			}
 		}
 	}
-
-	// Hand the grown scratch back to the arena for the next session.
-	a.slotBuf = slotBuf
-	a.deliveredAt = deliveredAt
 
 	res.Duration = now
 	res.FramesSent = sender.FramesSent()

@@ -182,3 +182,42 @@ func TestThroughputSeriesBinning(t *testing.T) {
 	}
 	_ = stats.Series{}
 }
+
+// TestRejectsNonFiniteConfig is the config-robustness regression table:
+// every case used to panic, hang, or return NaN goodput without an error,
+// on Run and RunBroadcast alike.
+func TestRejectsNonFiniteConfig(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name     string
+		mutate   func(*Config)
+		duration float64
+	}{
+		{"duration NaN", func(*Config) {}, nan},
+		{"duration +Inf", func(*Config) {}, inf},
+		{"level NaN", func(c *Config) { c.FixedLevel = nan }, 0.1},
+		{"level +Inf", func(c *Config) { c.FixedLevel = inf }, 0.1},
+		{"target NaN", func(c *Config) { c.TargetSum = nan }, 0.1},
+		{"side loss 2", func(c *Config) { c.SideLossProb = 2 }, 0.1},
+		{"side loss negative", func(c *Config) { c.SideLossProb = -0.1 }, 0.1},
+		{"side loss NaN", func(c *Config) { c.SideLossProb = nan }, 0.1},
+		{"side latency NaN", func(c *Config) { c.SideLatencySeconds = nan }, 0.1},
+		{"side latency +Inf", func(c *Config) { c.SideLatencySeconds = inf }, 0.1},
+		{"side latency negative", func(c *Config) { c.SideLatencySeconds = -0.001 }, 0.1},
+		{"side jitter NaN", func(c *Config) { c.SideJitterSeconds = nan }, 0.1},
+		{"side jitter negative", func(c *Config) { c.SideJitterSeconds = -0.001 }, 0.1},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultConfig(amppmScheme(t))
+			tc.mutate(&cfg)
+			if _, err := Run(cfg, tc.duration); err == nil {
+				t.Error("Run accepted the config")
+			}
+			bc := BroadcastConfig{Config: cfg, Receivers: []ReceiverPose{{Geometry: optics.Aligned(2, 0)}}}
+			if _, err := RunBroadcast(bc, tc.duration); err == nil {
+				t.Error("RunBroadcast accepted the config")
+			}
+		})
+	}
+}

@@ -26,56 +26,34 @@ func logNDJSON(t testing.TB, snap *vlog.Snapshot) []byte {
 	return b
 }
 
-// TestRunLogByteIdentical extends the arena byte-identity contract to the
-// structured log: sessions rented from a warm arena produce log snapshots
-// byte-identical to fresh-allocated runs, including after the arena has
-// been dirtied by sessions of different shapes (whose own log records —
-// arena growth included — must not leak into the next session).
+// TestRunLogByteIdentical pins the structured log's determinism: two
+// runs of the same fully instrumented session produce byte-identical log
+// snapshots carrying the session and receiver narrative.
+// TestArenaRunByteIdentical extends this to runs separated by sessions of
+// other shapes.
 func TestRunLogByteIdentical(t *testing.T) {
-	mkCfg := func(seed uint64) Config {
-		cfg := arenaSessionConfig(t, seed)
-		cfg.Logs = vlog.New(vlog.Debug)
-		return cfg
+	run := func() []byte {
+		res, err := Run(instrumentedConfig(t, 7), 0.4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return logNDJSON(t, res.Logs)
 	}
-	run, err := Run(mkCfg(7), 0.4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := logNDJSON(t, run.Logs)
+	ref := run()
 	if !bytes.Contains(ref, []byte(`"stage":"sim/session"`)) {
 		t.Fatalf("log snapshot carries no session records:\n%s", ref)
 	}
 	if !bytes.Contains(ref, []byte(`"stage":"phy/`)) {
 		t.Fatalf("log snapshot carries no phy records:\n%s", ref)
 	}
-
-	a := NewArena()
-	check := func(round string) {
-		got, err := a.Run(mkCfg(7), 0.4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if g := logNDJSON(t, got.Logs); !bytes.Equal(ref, g) {
-			t.Fatalf("%s: log snapshot diverges from fresh run:\n--- fresh ---\n%s--- arena ---\n%s", round, ref, g)
-		}
+	if got := run(); !bytes.Equal(ref, got) {
+		t.Fatalf("log snapshot diverges between identical runs:\n--- first ---\n%s--- again ---\n%s", ref, got)
 	}
-	check("cold arena")
-	check("warm arena")
-
-	dirty := mkCfg(99)
-	dirty.PayloadBytes = 64
-	dirty.Window = 4
-	dirty.FixedLevel = 0.3
-	dirty.Trace = nil
-	if _, err := a.Run(dirty, 0.2); err != nil {
-		t.Fatal(err)
-	}
-	check("dirtied arena")
 }
 
 // TestBroadcastLogWorkerInvariance pins the tentpole acceptance matrix:
 // broadcast log snapshots are byte-identical across GOMAXPROCS {1, 4} ×
-// Workers {1, 3, -1}, arena-warm runs included. Per-receiver records are
+// Workers {1, 3, -1}. Per-receiver records are
 // buffered in shard buffers and spliced in receiver order during the
 // sequential merge, so the parallel fan-out must be invisible in the
 // NDJSON bytes.
@@ -102,18 +80,17 @@ func TestBroadcastLogWorkerInvariance(t *testing.T) {
 		}
 	}
 
-	a := NewArena()
 	for _, procs := range []int{1, 4} {
 		prev := runtime.GOMAXPROCS(procs)
 		for _, workers := range []int{1, 3, -1} {
 			cfg := mkCfg()
 			cfg.Workers = workers
-			got, err := a.RunBroadcast(cfg, 0.3)
+			got, err := RunBroadcast(cfg, 0.3)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if g := logNDJSON(t, got.Logs); !bytes.Equal(ref, g) {
-				t.Fatalf("GOMAXPROCS=%d workers=%d: log snapshot diverges from fresh run", procs, workers)
+				t.Fatalf("GOMAXPROCS=%d workers=%d: log snapshot diverges", procs, workers)
 			}
 		}
 		runtime.GOMAXPROCS(prev)

@@ -35,13 +35,11 @@ func watchFleet(t *testing.T, n int, window float64) ([]Config, *agg.Aggregator)
 
 // TestFleetWatchWorkerInvariant is the tentpole acceptance criterion:
 // the live aggregate and top-K snapshot must be byte-identical across
-// GOMAXPROCS {1,4} × workers {1,3,-1}, including warm (dirtied-arena)
-// repeat runs.
+// GOMAXPROCS {1,4} × workers {1,3,-1}.
 func TestFleetWatchWorkerInvariant(t *testing.T) {
-	arenas := NewFleetArenas()
 	run := func(workers int) []byte {
 		cfgs, _ := watchFleet(t, 5, 0.05)
-		fl, err := RunFleetArenas(arenas, cfgs, 0.3, workers)
+		fl, err := RunFleet(cfgs, 0.3, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -54,7 +52,6 @@ func TestFleetWatchWorkerInvariant(t *testing.T) {
 		}
 		return b
 	}
-	// First run dirties the arenas so every compared run is warm.
 	ref := run(1)
 	for _, procs := range []int{1, 4} {
 		prev := runtime.GOMAXPROCS(procs)

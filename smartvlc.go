@@ -247,34 +247,6 @@ func RunFleet(cfgs []SessionConfig, durationSeconds float64, workers int) (Fleet
 	return sim.RunFleet(cfgs, durationSeconds, workers)
 }
 
-// Arena is a reusable session arena: it owns everything a session
-// allocates (PHY link/receiver state, MAC bookkeeping, codec caches,
-// scratch buffers), so repeated sessions rent warm state instead of
-// reallocating it. Arena.Run and Arena.RunBroadcast are byte-identical
-// to RunSession and RunBroadcast — results, telemetry, spans, health and
-// prof snapshots alike; only the allocation cost changes. An arena
-// serves one session at a time and is not safe for concurrent use.
-type Arena = sim.Arena
-
-// NewArena returns an empty session arena; it warms up as it serves
-// sessions.
-func NewArena() *Arena { return sim.NewArena() }
-
-// FleetArenas is a concurrency-safe pool of session arenas for
-// RunFleetArenas: keep one pool alive across repeated fleets and the
-// steady-state per-session allocation approaches zero.
-type FleetArenas = sim.FleetArenas
-
-// NewFleetArenas returns an empty arena pool.
-func NewFleetArenas() *FleetArenas { return sim.NewFleetArenas() }
-
-// RunFleetArenas is RunFleet renting one warm session arena per worker
-// from the pool. Results are byte-identical to RunFleet; a persistent
-// pool amortizes session setup across calls.
-func RunFleetArenas(arenas *FleetArenas, cfgs []SessionConfig, durationSeconds float64, workers int) (FleetResult, error) {
-	return sim.RunFleetArenas(arenas, cfgs, durationSeconds, workers)
-}
-
 // Steppers for SessionConfig (paper Fig. 19c comparison).
 var (
 	// PerceivedStepper is SmartVLC's adaptation: fixed steps in the
