@@ -7,7 +7,10 @@
 package smartvlc
 
 import (
+	"math"
+	"runtime"
 	"testing"
+	"time"
 
 	"smartvlc/internal/amppm"
 	"smartvlc/internal/experiments"
@@ -413,4 +416,84 @@ func BenchmarkAblation_UplinkWiFiVsVLC(b *testing.B) {
 	}
 	b.ReportMetric(out["wifi"], "wifi_uplink_kbps")
 	b.ReportMetric(out["vlc"], "vlc_uplink_kbps")
+}
+
+// BenchmarkParallelScaling is the multi-core scaling gate: for each
+// parallel workload (an 8-session fleet, the Fig. 4 Monte-Carlo and a
+// 4-receiver broadcast) it times the best of three runs at 1 and at 4
+// workers, reports the speedup, and fails when 4 workers are slower than
+// one. It is a benchmark, not a test, so `go test ./...` on a shared host
+// never asserts on wall time; run it alone on a multi-core machine:
+//
+//	GOMAXPROCS=4 go test -run '^$' -bench '^BenchmarkParallelScaling$' -benchtime 1x .
+func BenchmarkParallelScaling(b *testing.B) {
+	if runtime.NumCPU() < 2 || runtime.GOMAXPROCS(0) < 2 {
+		b.Skip("a speedup needs more than one CPU")
+	}
+	sys, err := New(DefaultConstraints())
+	if err != nil {
+		b.Fatal(err)
+	}
+	families := []struct {
+		name string
+		run  func(workers int) error
+	}{
+		{"fleet", func(workers int) error {
+			cfgs := make([]SessionConfig, 8)
+			for j := range cfgs {
+				cfgs[j] = DefaultSessionConfig(sys.Scheme())
+				cfgs[j].FixedLevel = 0.5
+				cfgs[j].Seed = uint64(j + 1)
+			}
+			_, err := RunFleet(cfgs, 0.1, workers)
+			return err
+		}},
+		{"fig4mc", func(workers int) error {
+			_, _, err := experiments.Fig4MonteCarloWorkers(40000, 11, workers)
+			return err
+		}},
+		{"broadcast", func(workers int) error {
+			cfg := BroadcastConfig{Config: DefaultSessionConfig(sys.Scheme()), Workers: workers}
+			cfg.FixedLevel = 0.5
+			base := cfg.Geometry
+			cfg.Receivers = []ReceiverPose{
+				{Geometry: base},
+				{Geometry: base, AmbientScale: 1.4},
+				{Geometry: base, AmbientScale: 0.7},
+				{Geometry: base, AmbientScale: 1.1},
+			}
+			_, err := RunBroadcast(cfg, 0.1)
+			return err
+		}},
+	}
+	timed := func(run func(int) error, workers int) time.Duration {
+		start := time.Now()
+		if err := run(workers); err != nil {
+			b.Fatal(err)
+		}
+		return time.Since(start)
+	}
+	for i := 0; i < b.N; i++ {
+		for _, f := range families {
+			// One untimed run warms codec caches and pools, and the timed
+			// runs alternate, swapping which goes first, so neither worker
+			// count gets the cold start or a quieter stretch of the host.
+			timed(f.run, 4)
+			serial, parallel := time.Duration(math.MaxInt64), time.Duration(math.MaxInt64)
+			for r := 0; r < 3; r++ {
+				if r%2 == 0 {
+					serial = min(serial, timed(f.run, 1))
+				}
+				parallel = min(parallel, timed(f.run, 4))
+				if r%2 == 1 {
+					serial = min(serial, timed(f.run, 1))
+				}
+			}
+			speedup := float64(serial) / float64(parallel)
+			b.ReportMetric(speedup, f.name+"_speedup_4w")
+			if speedup < 1 {
+				b.Fatalf("%s: 4 workers %.2fx the speed of one", f.name, speedup)
+			}
+		}
+	}
 }

@@ -15,17 +15,12 @@
 //	vlcprof diff A.json B.json    series-by-series diff; names the top
 //	                              regression, or reports a zero delta —
 //	                              the determinism check for same-seed runs
-//	vlcprof trend HISTORY.jsonl   newest run vs rolling median of the
-//	                              bench history; names the regressing
-//	                              stage and exits 1 on regression
 //
 // Flags:
 //
 //	-metric M      cost dimension: ops, samples, slots, symbols, bytes,
 //	               allocs (default samples)
 //	-top N         rows in the top/diff tables (default 10)
-//	-window N      trend: rolling-median window in runs (default 5, 0 = all)
-//	-tolerance F   trend: fractional slowdown allowed (default 0.05)
 package main
 
 import (
@@ -33,7 +28,6 @@ import (
 	"fmt"
 	"os"
 
-	"smartvlc/internal/bench"
 	"smartvlc/internal/telemetry/prof"
 	"smartvlc/internal/telemetry/prof/analyze"
 )
@@ -41,10 +35,8 @@ import (
 func main() {
 	metric := flag.String("metric", "samples", "cost dimension: ops, samples, slots, symbols, bytes, allocs")
 	top := flag.Int("top", 10, "rows in the top/diff tables")
-	window := flag.Int("window", 5, "trend: rolling-median window in runs (0 = all)")
-	tolerance := flag.Float64("tolerance", 0.05, "trend: fractional slowdown allowed")
 	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: vlcprof [flags] top|levels|folded PROFILE | diff A B | trend HISTORY\n")
+		fmt.Fprintf(flag.CommandLine.Output(), "usage: vlcprof [flags] top|levels|folded PROFILE | diff A B\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -80,8 +72,6 @@ func main() {
 		})
 	case mode == "diff" && n == 3:
 		err = runDiff(flag.Arg(1), flag.Arg(2), opt)
-	case mode == "trend" && n == 2:
-		err = runTrend(flag.Arg(1), *window, *tolerance)
 	default:
 		flag.Usage()
 		os.Exit(2)
@@ -111,15 +101,4 @@ func runDiff(pathA, pathB string, opt analyze.Options) error {
 			return nil
 		})
 	})
-}
-
-func runTrend(path string, window int, tolerance float64) error {
-	recs, err := bench.ReadHistory(path)
-	if err != nil {
-		return err
-	}
-	if analyze.ReportHistory(os.Stdout, recs, window, tolerance) {
-		os.Exit(1)
-	}
-	return nil
 }

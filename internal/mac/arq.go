@@ -3,6 +3,7 @@ package mac
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"strconv"
 
@@ -121,8 +122,8 @@ func NewSender(window, payloadBytes int, timeout float64, rng *rand.Rand) (*Send
 	if payloadBytes < 1 || payloadBytes > 65000 {
 		return nil, fmt.Errorf("mac: payload %d bytes out of range", payloadBytes)
 	}
-	if timeout <= 0 {
-		return nil, fmt.Errorf("mac: timeout %v must be positive", timeout)
+	if !(timeout > 0) || math.IsInf(timeout, 1) {
+		return nil, fmt.Errorf("mac: timeout %v must be positive and finite", timeout)
 	}
 	return &Sender{Window: window, TimeoutSeconds: timeout, PayloadBytes: payloadBytes, rng: rng}, nil
 }

@@ -199,8 +199,10 @@ func TestSenderValidation(t *testing.T) {
 	if _, err := NewSender(1, 0, 1, rng); err == nil {
 		t.Fatal("payload 0 accepted")
 	}
-	if _, err := NewSender(1, 10, 0, rng); err == nil {
-		t.Fatal("timeout 0 accepted")
+	for _, timeout := range []float64{0, -1, math.NaN(), math.Inf(1)} {
+		if _, err := NewSender(1, 10, timeout, rng); err == nil {
+			t.Fatalf("timeout %v accepted", timeout)
+		}
 	}
 }
 

@@ -144,9 +144,10 @@ func TestBroadcastProfWorkerInvariance(t *testing.T) {
 	}
 }
 
-// benchSession is the nil/armed benchmark pair behind phybench's
-// session_frames / end_to_end_frame_prof twins, kept here so the
-// profiler's hot-path price can be measured with plain `go test -bench`.
+// benchSession times one 0.1 s session with the stage profiler off or
+// armed, so the profiler's hot-path price can be measured with plain
+// `go test -bench`; TestSessionAllocCeilings pins the same session's
+// allocations.
 func benchSession(b *testing.B, armed bool) {
 	s := amppmScheme(b)
 	for i := 0; i < b.N; i++ {

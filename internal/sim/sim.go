@@ -254,8 +254,19 @@ func (cfg *Config) validate(duration float64) error {
 	if cfg.PayloadBytes <= 0 {
 		return fmt.Errorf("sim: payload %d bytes", cfg.PayloadBytes)
 	}
-	if !finite(cfg.FixedLevel) || !finite(cfg.TargetSum) {
-		return fmt.Errorf("sim: dimming level %v / target %v must be finite", cfg.FixedLevel, cfg.TargetSum)
+	if !(cfg.FixedLevel >= 0 && cfg.FixedLevel <= 1) || !finite(cfg.TargetSum) {
+		return fmt.Errorf("sim: dimming level %v must lie in [0, 1] and target %v be finite", cfg.FixedLevel, cfg.TargetSum)
+	}
+	// An idle gap longer than the session (at 8 µs per slot) leaves no air
+	// time for a frame, and building it could take unbounded memory.
+	if cfg.IdleGapSlots < 0 || float64(cfg.IdleGapSlots) > duration/8e-6 {
+		return fmt.Errorf("sim: idle gap of %d slots outside [0, session length]", cfg.IdleGapSlots)
+	}
+	if !finite(cfg.UplinkVLCBitRate) {
+		return fmt.Errorf("sim: VLC uplink bit rate %v must be finite", cfg.UplinkVLCBitRate)
+	}
+	if !(cfg.UplinkVLCRangeM >= 0) || math.IsInf(cfg.UplinkVLCRangeM, 1) {
+		return fmt.Errorf("sim: VLC uplink range %v m must be finite and non-negative", cfg.UplinkVLCRangeM)
 	}
 	if !(cfg.SideLossProb >= 0 && cfg.SideLossProb <= 1) {
 		return fmt.Errorf("sim: side-channel loss %v outside [0, 1]", cfg.SideLossProb)

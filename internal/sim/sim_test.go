@@ -184,10 +184,14 @@ func TestThroughputSeriesBinning(t *testing.T) {
 }
 
 // TestRejectsNonFiniteConfig is the config-robustness regression table:
-// every case used to panic, hang, or return NaN goodput without an error,
-// on Run and RunBroadcast alike.
+// every case used to panic, hang, or return a NaN or made-up goodput
+// without an error, on Run and RunBroadcast alike.
 func TestRejectsNonFiniteConfig(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
+	mppm, err := scheme.NewMPPM(20)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name     string
 		mutate   func(*Config)
@@ -206,6 +210,17 @@ func TestRejectsNonFiniteConfig(t *testing.T) {
 		{"side latency negative", func(c *Config) { c.SideLatencySeconds = -0.001 }, 0.1},
 		{"side jitter NaN", func(c *Config) { c.SideJitterSeconds = nan }, 0.1},
 		{"side jitter negative", func(c *Config) { c.SideJitterSeconds = -0.001 }, 0.1},
+		{"idle gap negative", func(c *Config) { c.IdleGapSlots = -5 }, 0.05},
+		{"idle gap past session", func(c *Config) { c.IdleGapSlots = 1 << 30 }, 0.05},
+		{"ack timeout NaN", func(c *Config) { c.AckTimeoutSeconds = nan }, 0.05},
+		{"ack timeout +Inf", func(c *Config) { c.AckTimeoutSeconds = inf }, 0.05},
+		{"MPPM level -0.2", func(c *Config) { c.Scheme = mppm; c.FixedLevel = -0.2 }, 0.05},
+		{"MPPM level 1.5", func(c *Config) { c.Scheme = mppm; c.FixedLevel = 1.5 }, 0.05},
+		{"uplink rate NaN", func(c *Config) { c.UplinkVLCBitRate = nan }, 0.05},
+		{"uplink rate +Inf", func(c *Config) { c.UplinkVLCBitRate = inf }, 0.05},
+		{"uplink range NaN", func(c *Config) { c.UplinkVLCBitRate = 10e3; c.UplinkVLCRangeM = nan }, 0.05},
+		{"uplink range +Inf", func(c *Config) { c.UplinkVLCBitRate = 10e3; c.UplinkVLCRangeM = inf }, 0.05},
+		{"uplink range negative", func(c *Config) { c.UplinkVLCBitRate = 10e3; c.UplinkVLCRangeM = -1 }, 0.05},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -101,6 +101,53 @@ func labelSig(labels []Label) string {
 	return strings.Join(parts, ",")
 }
 
+// labelSigLess reports labelSig(a) < labelSig(b) without rendering either
+// string. The canonical sorts call it a map-order-dependent number of
+// times, so rendering there would make the allocation count of a snapshot
+// vary from run to run.
+func labelSigLess(a, b []Label) bool {
+	ra, rb := sigReader{ls: a}, sigReader{ls: b}
+	for {
+		ca, okA := ra.next()
+		cb, okB := rb.next()
+		if !okA || !okB {
+			return !okA && okB
+		}
+		if ca != cb {
+			return ca < cb
+		}
+	}
+}
+
+// sigReader yields the bytes of labelSig(ls) one at a time.
+type sigReader struct {
+	ls      []Label
+	inValue bool
+	off     int
+}
+
+func (r *sigReader) next() (byte, bool) {
+	for len(r.ls) > 0 {
+		l := r.ls[0]
+		switch {
+		case !r.inValue && r.off < len(l.Key):
+			r.off++
+			return l.Key[r.off-1], true
+		case !r.inValue:
+			r.inValue, r.off = true, 0
+			return '=', true
+		case r.off < len(l.Value):
+			r.off++
+			return l.Value[r.off-1], true
+		}
+		r.inValue, r.off, r.ls = false, 0, r.ls[1:]
+		if len(r.ls) > 0 {
+			return ',', true
+		}
+	}
+	return 0, false
+}
+
 // Snapshot captures the registry's current state. Returns an empty
 // snapshot on a nil registry. Concurrent writers may land increments
 // during the capture; within one single-threaded session (the
@@ -160,19 +207,19 @@ func (s *Snapshot) sortCanonical() {
 		if s.Counters[i].Name != s.Counters[j].Name {
 			return s.Counters[i].Name < s.Counters[j].Name
 		}
-		return labelSig(s.Counters[i].Labels) < labelSig(s.Counters[j].Labels)
+		return labelSigLess(s.Counters[i].Labels, s.Counters[j].Labels)
 	})
 	sort.Slice(s.Gauges, func(i, j int) bool {
 		if s.Gauges[i].Name != s.Gauges[j].Name {
 			return s.Gauges[i].Name < s.Gauges[j].Name
 		}
-		return labelSig(s.Gauges[i].Labels) < labelSig(s.Gauges[j].Labels)
+		return labelSigLess(s.Gauges[i].Labels, s.Gauges[j].Labels)
 	})
 	sort.Slice(s.Histograms, func(i, j int) bool {
 		if s.Histograms[i].Name != s.Histograms[j].Name {
 			return s.Histograms[i].Name < s.Histograms[j].Name
 		}
-		return labelSig(s.Histograms[i].Labels) < labelSig(s.Histograms[j].Labels)
+		return labelSigLess(s.Histograms[i].Labels, s.Histograms[j].Labels)
 	})
 }
 

@@ -1,8 +1,8 @@
 // Package analyze renders the human-readable cost reports behind
-// cmd/vlcprof: top-k stage tables, per-dimming-level cost curves, profile
-// diffs and bench-history trend reports. Extracting the rendering from
-// the command makes the output testable against pinned strings; the
-// command stays a thin loader around this package.
+// cmd/vlcprof: top-k stage tables, per-dimming-level cost curves and
+// profile diffs. Extracting the rendering from the command makes the
+// output testable against pinned strings; the command stays a thin loader
+// around this package.
 //
 // All output is deterministic given the inputs: series arrive in the
 // snapshot's canonical order and every aggregation sorts its keys.
@@ -14,7 +14,6 @@ import (
 	"sort"
 	"strings"
 
-	"smartvlc/internal/bench"
 	"smartvlc/internal/telemetry/prof"
 )
 
@@ -196,72 +195,6 @@ func ReportDiff(w io.Writer, a, b *prof.Snapshot, opt Options) {
 	} else {
 		fmt.Fprintf(w, "no %s regression: every changed series shrank or moved other metrics\n", opt.Metric)
 	}
-}
-
-// ReportHistory compares the newest full bench-history record against the
-// rolling median of the records before it and names the regressing stage.
-// tolerance is the fractional slowdown allowed (0.05 = 5%); window bounds
-// the median (0 = all prior full records). It returns true when some
-// benchmark regressed beyond tolerance — callers gate on it.
-func ReportHistory(w io.Writer, recs []bench.Record, window int, tolerance float64) bool {
-	full := make([]bench.Record, 0, len(recs))
-	for _, r := range recs {
-		if !r.Quick {
-			full = append(full, r)
-		}
-	}
-	if len(full) < 2 {
-		fmt.Fprintf(w, "history has %d full record(s); need at least 2 for a trend\n", len(full))
-		return false
-	}
-	last, prior := full[len(full)-1], full[:len(full)-1]
-	id := last.SHA
-	if id == "" {
-		id = fmt.Sprintf("record %d", len(full)-1)
-	}
-	fmt.Fprintf(w, "trend: %s vs rolling median of %d prior run(s), tolerance %.0f%%:\n",
-		id, len(prior), tolerance*100)
-	regressed := false
-	worstName, worstRatio := "", 0.0
-	for _, name := range bench.Names([]bench.Record{last}) {
-		cur := last.NsPerOp[name]
-		med, ok := bench.RollingMedian(prior, name, window)
-		if !ok || cur <= 0 {
-			fmt.Fprintf(w, "  %-28s %12.0f ns/op  (no prior runs)\n", name, cur)
-			continue
-		}
-		ratio := cur/med - 1
-		mark := ""
-		if ratio > tolerance {
-			regressed = true
-			mark = "  REGRESSED"
-			if ratio > worstRatio {
-				worstName, worstRatio = name, ratio
-			}
-		}
-		fmt.Fprintf(w, "  %-28s %12.0f ns/op  median %12.0f  %+6.1f%%%s\n", name, cur, med, ratio*100, mark)
-	}
-	if len(last.SessionsPerSec) > 0 {
-		names := make([]string, 0, len(last.SessionsPerSec))
-		for n := range last.SessionsPerSec {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		fmt.Fprintln(w, "session throughput (newest run):")
-		for _, n := range names {
-			fmt.Fprintf(w, "  %-28s %12.1f sessions/sec\n", n, last.SessionsPerSec[n])
-		}
-	}
-	if regressed {
-		stage := bench.StageFor(worstName)
-		if stage == "" {
-			stage = "(unmapped)"
-		}
-		fmt.Fprintf(w, "regressing stage: %s (via %s, %+.1f%% vs median)\n", stage, worstName, worstRatio*100)
-	} else {
-		fmt.Fprintln(w, "no benchmark regressed beyond tolerance")
-	}
-	return regressed
 }
 
 func describeKey(k prof.Key) string {

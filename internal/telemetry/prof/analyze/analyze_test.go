@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"smartvlc/internal/bench"
 	"smartvlc/internal/telemetry/prof"
 )
 
@@ -78,38 +77,5 @@ func TestReportDiffNamesRegression(t *testing.T) {
 	}
 	if !strings.Contains(got, "top regression: phy.hunt (pam4 @ 0.50) samples 4000 -> 13000 (+225.0%)") {
 		t.Fatalf("missing top-regression line:\n%s", got)
-	}
-}
-
-func TestReportHistoryTrend(t *testing.T) {
-	recs := []bench.Record{
-		{SHA: "a1", NsPerOp: map[string]float64{"receiver_hunt": 100, "phy_transmit": 50}},
-		{SHA: "a2", NsPerOp: map[string]float64{"receiver_hunt": 102, "phy_transmit": 51}},
-		{Quick: true, NsPerOp: map[string]float64{"receiver_hunt": 9999}},
-		{SHA: "a3", NsPerOp: map[string]float64{"receiver_hunt": 130, "phy_transmit": 50}},
-	}
-	var out strings.Builder
-	if !ReportHistory(&out, recs, 0, 0.05) {
-		t.Fatalf("29%% hunt slowdown not flagged:\n%s", out.String())
-	}
-	got := out.String()
-	if !strings.Contains(got, "REGRESSED") || !strings.Contains(got, "regressing stage: phy.hunt (via receiver_hunt") {
-		t.Fatalf("trend report missing stage naming:\n%s", got)
-	}
-
-	// Within tolerance: no regression, no gate.
-	out.Reset()
-	recs[3].NsPerOp["receiver_hunt"] = 103
-	if ReportHistory(&out, recs, 0, 0.05) {
-		t.Fatalf("3%% drift flagged as regression:\n%s", out.String())
-	}
-	if !strings.Contains(out.String(), "no benchmark regressed beyond tolerance") {
-		t.Fatalf("missing all-clear line:\n%s", out.String())
-	}
-
-	// Too little history for a trend.
-	out.Reset()
-	if ReportHistory(&out, recs[:1], 0, 0.05) {
-		t.Fatal("single-record history gated")
 	}
 }

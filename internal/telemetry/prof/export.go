@@ -122,7 +122,7 @@ func (d Delta) Changed() bool { return d.A != d.B }
 // TopRegression returns the delta with the largest relative growth of
 // metric m from A to B (new keys count as fully grown), or false when
 // nothing grew. It is the "name the stage responsible" primitive behind
-// vlcprof diff and benchguard -trend.
+// vlcprof diff.
 func TopRegression(deltas []Delta, m Metric) (Delta, bool) {
 	best := -1
 	var bestGrowth float64

@@ -248,3 +248,31 @@ func TestSnapshotJSONDeterminism(t *testing.T) {
 		}
 	}
 }
+
+// TestLabelSigLessMatchesRenderedOrder pins the allocation-free comparison
+// the canonical sorts use to the order of the rendered signatures,
+// including keys and values that hold the '=' and ',' separators or are
+// prefixes of one another.
+func TestLabelSigLessMatchesRenderedOrder(t *testing.T) {
+	parts := []string{"", "a", "ab", "b", "=", ",", "a=", "a,b", "~"}
+	var sets [][]Label
+	for _, k := range parts {
+		for _, v := range parts {
+			sets = append(sets, []Label{{Key: k, Value: v}})
+			for _, v2 := range parts[:4] {
+				sets = append(sets, []Label{{Key: k, Value: v}, {Key: v2, Value: k}})
+			}
+		}
+	}
+	sets = append(sets, nil)
+	for _, a := range sets {
+		for _, b := range sets {
+			if got, want := labelSigLess(a, b), labelSig(a) < labelSig(b); got != want {
+				t.Fatalf("labelSigLess(%q, %q) = %v, rendered order says %v", labelSig(a), labelSig(b), got, want)
+			}
+		}
+	}
+	if n := testing.AllocsPerRun(10, func() { labelSigLess(sets[5], sets[6]) }); n != 0 {
+		t.Errorf("labelSigLess: %v allocs/op", n)
+	}
+}

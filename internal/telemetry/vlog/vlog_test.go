@@ -306,3 +306,37 @@ func TestConsoleFormat(t *testing.T) {
 		t.Fatalf("console output:\n%q\nwant:\n%q", buf.String(), want)
 	}
 }
+
+// FuzzParseNDJSON feeds arbitrary bytes to the NDJSON reader behind
+// vlclog and flight-bundle log tails: whatever parses must re-export and
+// re-parse to the same number of records.
+func FuzzParseNDJSON(f *testing.F) {
+	l := New(Debug)
+	l.Record(Record{At: 0.25, Level: Warn, Stage: "phy/decode", Msg: "preamble miss", Seq: 3, Span: 7,
+		Scheme: "AMPPM", Dim: "0.5", Attrs: []Attr{{Key: "class", Value: "ser"}}})
+	l.Record(Record{At: 0.5, Level: Error, Stage: "sim/slo", Msg: "critical", Seq: -1})
+	seed, err := l.Snapshot().NDJSON()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed)
+	f.Add([]byte("\n\n{}\n"))
+	f.Add([]byte("{\"id\":1}\nnot json\n"))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		snap, err := ParseNDJSON(bytes.NewReader(b))
+		if err != nil {
+			return
+		}
+		nd, err := snap.NDJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := ParseNDJSON(bytes.NewReader(nd))
+		if err != nil {
+			t.Fatalf("re-parse of the export failed: %v\n%s", err, nd)
+		}
+		if len(back.Records) != len(snap.Records) {
+			t.Fatalf("%d records re-parse as %d", len(snap.Records), len(back.Records))
+		}
+	})
+}
